@@ -48,10 +48,13 @@ impl Embedding {
     }
 }
 
-/// FNV-1a 64-bit hash — stable across platforms and runs, which keeps the
-/// whole benchmark build deterministic.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a 64-bit hash, continued from state `h` — stable across
+/// platforms and runs, which keeps the whole benchmark build
+/// deterministic. Hashing `a` then `b` from [`FNV_OFFSET`] equals hashing
+/// their concatenation, which lets [`embed`] hash a feature in pieces.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -59,8 +62,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn add_feature(v: &mut [f32; DIM], feature: &str, weight: f32) {
-    let h = fnv1a(feature.as_bytes());
+/// [`fnv1a`] over one character's UTF-8 bytes.
+fn fnv1a_char(h: u64, ch: char) -> u64 {
+    fnv1a(h, ch.encode_utf8(&mut [0; 4]).as_bytes())
+}
+
+/// Add a feature by its finished FNV-1a hash.
+fn add_feature(v: &mut [f32; DIM], h: u64, weight: f32) {
     let idx = (h % DIM as u64) as usize;
     // The next bit decides the sign: signed hashing keeps the expectation
     // of collisions at zero.
@@ -85,23 +93,89 @@ pub fn tokenize(text: &str) -> Vec<String> {
     out
 }
 
+/// The characters of [`tokenize`]'s tokens, in order, with `None` after
+/// each token — the token stream without building a `String`. The
+/// bit-identity test compares [`embed`], which walks this, against a
+/// reference built on [`tokenize`].
+fn for_each_token_char(text: &str, mut f: impl FnMut(Option<char>)) {
+    let mut in_token = false;
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            in_token = true;
+            ch.to_lowercase().for_each(|lc| f(Some(lc)));
+        } else if in_token {
+            in_token = false;
+            f(None);
+        }
+    }
+    if in_token {
+        f(None);
+    }
+}
+
 /// Embed a sentence: signed-hash word unigrams (weight 1.0), word bigrams
 /// (0.7) and character trigrams (0.3), then L2-normalize.
+///
+/// Features are the strings `w:{token}`, `b:{token} {next}` and
+/// `c:{trigram}` (character trigrams of the tokens joined by single
+/// spaces). Each is hashed by streaming its bytes through FNV-1a rather
+/// than formatting it, so embedding allocates nothing. The three feature
+/// kinds are added in three passes, in that order, because the float
+/// sums (and so the vector's bits) depend on the order of additions.
 pub fn embed(text: &str) -> Embedding {
-    let tokens = tokenize(text);
     let mut v = [0.0f32; DIM];
-    for t in &tokens {
-        add_feature(&mut v, &format!("w:{t}"), 1.0);
-    }
-    for pair in tokens.windows(2) {
-        add_feature(&mut v, &format!("b:{} {}", pair[0], pair[1]), 0.7);
-    }
-    let joined = tokens.join(" ");
-    let chars: Vec<char> = joined.chars().collect();
-    for tri in chars.windows(3) {
-        let g: String = tri.iter().collect();
-        add_feature(&mut v, &format!("c:{g}"), 0.3);
-    }
+    // Unigrams.
+    let w = fnv1a(FNV_OFFSET, b"w:");
+    let mut h = w;
+    for_each_token_char(text, |ch| match ch {
+        Some(ch) => h = fnv1a_char(h, ch),
+        None => {
+            add_feature(&mut v, h, 1.0);
+            h = w;
+        }
+    });
+    // Bigrams: `cur` hashes "b:{token}" for the token being read, which
+    // is the prefix of the next bigram; `pair` continues the previous
+    // token's prefix through " " and this token.
+    let b = fnv1a(FNV_OFFSET, b"b:");
+    let mut cur = b;
+    let mut pair: Option<u64> = None;
+    for_each_token_char(text, |ch| match ch {
+        Some(ch) => {
+            cur = fnv1a_char(cur, ch);
+            pair = pair.map(|p| fnv1a_char(p, ch));
+        }
+        None => {
+            if let Some(p) = pair {
+                add_feature(&mut v, p, 0.7);
+            }
+            pair = Some(fnv1a(cur, b" "));
+            cur = b;
+        }
+    });
+    // Character trigrams over the space-joined tokens.
+    let c = fnv1a(FNV_OFFSET, b"c:");
+    let mut window: [char; 2] = ['\0'; 2];
+    let mut seen = 0usize;
+    let mut push = |v: &mut [f32; DIM], ch: char| {
+        if seen >= 2 {
+            let h = fnv1a_char(fnv1a_char(fnv1a_char(c, window[0]), window[1]), ch);
+            add_feature(v, h, 0.3);
+        }
+        window = [window[1], ch];
+        seen += 1;
+    };
+    let mut pending_space = false;
+    for_each_token_char(text, |ch| match ch {
+        Some(ch) => {
+            if pending_space {
+                push(&mut v, ' ');
+                pending_space = false;
+            }
+            push(&mut v, ch);
+        }
+        None => pending_space = true,
+    });
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
         for x in &mut v {
@@ -127,6 +201,93 @@ pub fn corpus_similarity(pairs: &[(String, String)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original `format!`-based embedding, kept as the reference the
+    /// streaming [`embed`] must match bit for bit.
+    fn embed_reference(text: &str) -> Embedding {
+        fn add(v: &mut [f32; DIM], feature: &str, weight: f32) {
+            add_feature(v, fnv1a(FNV_OFFSET, feature.as_bytes()), weight);
+        }
+        let tokens = tokenize(text);
+        let mut v = [0.0f32; DIM];
+        for t in &tokens {
+            add(&mut v, &format!("w:{t}"), 1.0);
+        }
+        for pair in tokens.windows(2) {
+            add(&mut v, &format!("b:{} {}", pair[0], pair[1]), 0.7);
+        }
+        let joined = tokens.join(" ");
+        let chars: Vec<char> = joined.chars().collect();
+        for tri in chars.windows(3) {
+            let g: String = tri.iter().collect();
+            add(&mut v, &format!("c:{g}"), 0.3);
+        }
+        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            for x in &mut v {
+                *x /= norm;
+            }
+        }
+        Embedding(v)
+    }
+
+    fn assert_bit_identical(text: &str) {
+        let got = embed(text);
+        let want = embed_reference(text);
+        for (i, (g, w)) in got.0.iter().zip(want.0.iter()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{text:?}: dimension {i}");
+        }
+    }
+
+    #[test]
+    fn streaming_embed_is_bit_identical_to_the_format_reference() {
+        let fixed = [
+            "",
+            "a",
+            "ab",
+            "é",
+            "中文",
+            "?!",
+            "...,;:!?",
+            "   ",
+            "Find all Starburst-galaxies!",
+            "How many EU projects started in 2020?",
+            "what is the redshift of galaxies with z > 0.5",
+            "Straße und Größe: ÄÖÜ",
+            "café naïve résumé",
+            "中文 查询 数据库",
+            "emoji 🚀 rockets 🌌 and galaxies 🔭",
+            "İstanbul ΣΊΣΥΦΟΣ",
+            "x y z",
+            "a-b c_d 12 3.5",
+        ];
+        for text in fixed {
+            assert_bit_identical(text);
+        }
+        // 1–2 character strings over a mixed alphabet.
+        let alphabet = ['a', 'Z', '7', ' ', '-', 'é', 'ß', '中', '🚀', 'İ'];
+        for a in alphabet {
+            assert_bit_identical(&a.to_string());
+            for b in alphabet {
+                assert_bit_identical(&format!("{a}{b}"));
+            }
+        }
+        // Seeded random strings over the same alphabet plus ASCII words.
+        let mut state: u64 = 0x9e3779b97f4a7c15;
+        let pieces = [
+            "galaxy", "Star", " ", " ", "-", "é", "ß", "中文", "🚀", "42", "İ", "?", "ab",
+        ];
+        for _ in 0..500 {
+            let mut text = String::new();
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            for k in 0..(state % 12) {
+                text.push_str(pieces[((state >> (4 * k)) % pieces.len() as u64) as usize]);
+            }
+            assert_bit_identical(&text);
+        }
+    }
 
     #[test]
     fn tokenizer_lowercases_and_splits() {

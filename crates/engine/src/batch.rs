@@ -55,7 +55,7 @@ use crate::error::EngineError;
 use crate::eval::{
     apply_cmp, apply_unary, arith, combine_logical, like_match, literal_value, truth_ref, Scope,
 };
-use crate::exec::{is_aggregate_query, Projected, Relation};
+use crate::exec::{is_aggregate_query, Output, Projected, Relation};
 use crate::key::{self, FxBuild, KeyIndex};
 use crate::value::{canon_num, cmp_int_f64, Value};
 use sb_obs::FixedOp;
@@ -124,6 +124,11 @@ pub(crate) struct BatchInput<'a, 'q> {
     pub(crate) par: ParConfig,
     /// Per-statement profile block (EXPLAIN ANALYZE), if requested.
     pub(crate) bp: Option<crate::exec::BlockProf<'a>>,
+    /// Under [`Output::Sink`] (a validity check) every projection and
+    /// ORDER BY kernel still runs far enough to reach the same bail
+    /// decision, but no `Value` is gathered and no row is built: the
+    /// returned [`Projected`] carries the output columns only.
+    pub(crate) out: Output,
 }
 
 /// Record why the batch path bailed (first reason wins) and fall back.
@@ -1915,6 +1920,30 @@ impl ValK {
             }
         })
     }
+
+    /// [`ValK::materialize`]'s bail decision without building any
+    /// `Value`: `Some` exactly when `materialize` would return `Some`
+    /// with `n_projected` output columns projected. Bare columns only
+    /// check their storage kind, which is all `materialize` can fail on
+    /// for them; computed kernels still evaluate, since overflow and
+    /// friends are data-dependent.
+    fn check(&self, v: &View, n_projected: usize) -> Option<()> {
+        match self {
+            ValK::Num(NumK::IntCol(id)) => {
+                matches!(v.col(*id).data, ColumnData::Int(_)).then_some(())
+            }
+            ValK::Num(NumK::FloatCol(id)) => {
+                matches!(v.col(*id).data, ColumnData::Float(_)).then_some(())
+            }
+            ValK::Num(k) => k.eval(v).map(drop),
+            ValK::Text(TextK::Col(id)) => {
+                matches!(v.col(*id).data, ColumnData::Text(_)).then_some(())
+            }
+            ValK::Text(TextK::Lit(_) | TextK::Null) => Some(()),
+            ValK::Tri(b) => b.eval(v).map(drop),
+            ValK::OutCol(i) => (*i < n_projected).then_some(()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2606,6 +2635,8 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
         }
     }
 
+    let sink = input.out == Output::Sink;
+
     // Projections, column-major.
     let mut proj_cols: Vec<Vec<Value>> = Vec::with_capacity(columns.len());
     for item in &select.projections {
@@ -2617,6 +2648,9 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
                         if matches!(cx.data(id), ColumnData::Mixed) {
                             return None;
                         }
+                        if sink {
+                            continue;
+                        }
                         let gathered = (0..view.len)
                             .map(|i| view.col(id).value_at(view.rid(id, i)))
                             .collect();
@@ -2626,7 +2660,11 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
             }
             SelectItem::Expr { expr, .. } => {
                 let k = cx.compile_val(expr)?;
-                proj_cols.push(k.materialize(view, &[])?);
+                if sink {
+                    k.check(view, 0)?;
+                } else {
+                    proj_cols.push(k.materialize(view, &[])?);
+                }
             }
         }
     }
@@ -2636,9 +2674,16 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
     let mut key_cols: Vec<Vec<Value>> = Vec::with_capacity(input.order_by.len());
     for item in input.order_by {
         let k = cx.compile_order_key(&item.expr, select)?;
-        key_cols.push(k.materialize(view, &proj_cols)?);
+        if sink {
+            k.check(view, columns.len())?;
+        } else {
+            key_cols.push(k.materialize(view, &proj_cols)?);
+        }
     }
 
+    if sink {
+        return Some((columns, Vec::new(), Vec::new()));
+    }
     Some(transpose(columns, proj_cols, key_cols, view.len))
 }
 
@@ -3729,7 +3774,7 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
     let mut out_rows = Vec::new();
     let mut keys = Vec::new();
     for g in 0..n_groups {
-        if !keep[g] {
+        if !keep[g] || input.out == Output::Sink {
             continue;
         }
         out_rows.push(proj_groups.iter().map(|col| col[g].clone()).collect());

@@ -178,6 +178,20 @@ impl Database {
         crate::exec::execute(self, query)
     }
 
+    /// Parse and validity-check a SQL string: the same `Ok`/`Err` as
+    /// [`Database::run`], without building result rows.
+    pub fn check(&self, sql: &str) -> Result<()> {
+        let query = sb_sql::parse(sql)?;
+        self.check_query(&query)
+    }
+
+    /// Validity-check an already-parsed query: the same `Ok`/`Err` as
+    /// [`Database::run_query`], without building result rows (see
+    /// [`crate::exec::check_with_profile`]).
+    pub fn check_query(&self, query: &sb_sql::Query) -> Result<()> {
+        crate::exec::check_with_profile(self, query, ExecOptions::default(), None)
+    }
+
     /// Parse and execute with explicit executor options (used by the
     /// benchmarks and the join-equivalence tests).
     pub fn run_with(&self, sql: &str, opts: ExecOptions) -> Result<ResultSet> {

@@ -307,7 +307,7 @@ pub fn execute_with_plan(
     opts: ExecOptions,
     plan: Option<&sb_opt::OwnedPlan>,
 ) -> Result<ResultSet> {
-    execute_query(db, query, opts, plan, None)
+    execute_query(db, query, opts, plan, None, Output::Rows)
 }
 
 /// [`execute_with`] plus a per-statement [`QueryProfile`] the engine's
@@ -320,7 +320,7 @@ pub fn execute_with_profile(
     opts: ExecOptions,
     prof: Option<&QueryProfile>,
 ) -> Result<ResultSet> {
-    execute_query(db, query, opts, None, prof)
+    execute_query(db, query, opts, None, prof, Output::Rows)
 }
 
 /// [`execute_with_plan`] plus an optional [`QueryProfile`] (see
@@ -333,7 +333,39 @@ pub fn execute_with_plan_profile(
     plan: Option<&sb_opt::OwnedPlan>,
     prof: Option<&QueryProfile>,
 ) -> Result<ResultSet> {
-    execute_query(db, query, opts, plan, prof)
+    execute_query(db, query, opts, plan, prof, Output::Rows)
+}
+
+/// Validity check: plan and execute `query` exactly as
+/// [`execute_with_profile`] does and return the same `Ok`/`Err` — the
+/// same error value included — without building the top-level
+/// `SELECT`'s result rows. For callers that only read `is_ok()`
+/// (candidate filtering in the NL2SQL systems; see
+/// [`Database::check_query`]). The profile records the same
+/// columnar/fallback decisions a full run would, which is how the tests
+/// pin that a check never leaves the batch path a full run takes.
+pub fn check_with_profile(
+    db: &Database,
+    query: &Query,
+    opts: ExecOptions,
+    prof: Option<&QueryProfile>,
+) -> Result<()> {
+    execute_query(db, query, opts, None, prof, Output::Sink).map(drop)
+}
+
+/// What the top-level `SELECT` of a statement produces. Everything
+/// nested in it — subqueries, derived tables, set-operation leaves —
+/// always runs with [`Output::Rows`], because its rows feed the
+/// enclosing block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Output {
+    /// Build the result rows (DISTINCT, ORDER BY, LIMIT included).
+    Rows,
+    /// Validity check: run every step that can fail or make the batch
+    /// path bail, then return an empty result instead of gathering,
+    /// transposing and sorting rows. Only reachable through
+    /// [`check_with_profile`].
+    Sink,
 }
 
 fn execute_query(
@@ -342,11 +374,19 @@ fn execute_query(
     opts: ExecOptions,
     plan: Option<&sb_opt::OwnedPlan>,
     prof: Prof<'_>,
+    out: Output,
 ) -> Result<ResultSet> {
     match &query.body {
-        SetExpr::Select(select) => {
-            execute_select_impl(db, select, &query.order_by, query.limit, opts, plan, prof)
-        }
+        SetExpr::Select(select) => execute_select_impl(
+            db,
+            select,
+            &query.order_by,
+            query.limit,
+            opts,
+            plan,
+            prof,
+            out,
+        ),
         SetExpr::SetOp { .. } => {
             let mut rs = execute_set_expr(db, &query.body, opts, prof)?;
             apply_output_order(&mut rs, &query.order_by, query.limit)?;
@@ -423,7 +463,7 @@ pub fn plan_top_select(
 
 /// Execute a parsed query with explicit executor options.
 pub fn execute_with(db: &Database, query: &Query, opts: ExecOptions) -> Result<ResultSet> {
-    execute_query(db, query, opts, None, None)
+    execute_query(db, query, opts, None, None, Output::Rows)
 }
 
 /// Set-operation leaves execute left to right, which is also the block
@@ -435,7 +475,7 @@ fn execute_set_expr(
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
     match body {
-        SetExpr::Select(s) => execute_select_impl(db, s, &[], None, opts, None, prof),
+        SetExpr::Select(s) => execute_select_impl(db, s, &[], None, opts, None, prof, Output::Rows),
         SetExpr::SetOp {
             op,
             all,
@@ -529,7 +569,7 @@ pub(crate) fn resolve_relation<'a>(
             // The derived query's SELECT blocks register in the profile
             // here, i.e. after the enclosing block and in FROM/JOIN
             // order — exactly the walk `explain_with_profile` replays.
-            let rs = execute_query(db, q, opts, None, prof)?;
+            let rs = execute_query(db, q, opts, None, prof, Output::Rows)?;
             Ok(Relation {
                 binding: alias,
                 columns: rs.columns.clone(),
@@ -1189,6 +1229,7 @@ pub(crate) fn projection_name(item: &SelectItem) -> String {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn execute_select_impl(
     db: &Database,
     select: &Select,
@@ -1197,6 +1238,7 @@ fn execute_select_impl(
     opts: ExecOptions,
     cached: Option<&sb_opt::OwnedPlan>,
     prof: Prof<'_>,
+    out: Output,
 ) -> Result<ResultSet> {
     if sb_obs::enabled() {
         note_dispatch(opts.compiled);
@@ -1283,13 +1325,13 @@ fn execute_select_impl(
             nested_loop: matches!(opts.join, JoinStrategy::NestedLoop),
             par: crate::batch::ParConfig::from_options(&opts),
             bp,
+            out,
         };
         if let Some(projected) = crate::batch::try_select(&input) {
             if let Some(bp) = &bp {
                 bp.prof.set_columnar(bp.block, true);
             }
-            let r = Ok(finish_select(select, order_by, limit, projected, bp));
-            return r;
+            return Ok(finish_select(select, order_by, limit, projected, bp, out));
         }
         if let Some(bp) = &bp {
             // The batch path may have recorded operators before bailing;
@@ -1392,20 +1434,25 @@ fn execute_select_impl(
         op.rows(agg_in as u64, projected.1.len() as u64);
         prof_elapsed(t0, Some(op));
     }
-    Ok(finish_select(select, order_by, limit, projected, bp))
+    Ok(finish_select(select, order_by, limit, projected, bp, out))
 }
 
 /// The shared result tail of the row and batch pipelines: DISTINCT
 /// dedup (keeping sort keys aligned), ORDER BY (bounded top-K under
-/// LIMIT), LIMIT truncation.
-pub(crate) fn finish_select(
+/// LIMIT), LIMIT truncation. None of it can fail, so a validity check
+/// ([`Output::Sink`]) stops here with an empty result.
+fn finish_select(
     select: &Select,
     order_by: &[OrderItem],
     limit: Option<u64>,
     projected: Projected,
     bp: Option<BlockProf<'_>>,
+    out: Output,
 ) -> ResultSet {
     let (columns, mut out_rows, mut keys) = projected;
+    if out == Output::Sink {
+        return ResultSet::empty(columns);
+    }
 
     if select.distinct {
         let op = bp.as_ref().and_then(|b| b.fixed(FixedOp::Distinct));

@@ -10,7 +10,10 @@
 //!    (join strategy × predicate pushdown × scan copying × compiled vs
 //!    interpreted expressions × cost-based planner on/off × columnar
 //!    batch engine on/off) and demands that every configuration agrees
-//!    with the reference.
+//!    with the reference, and
+//! 4. runs the validity-check entry ([`Database::check_query`]), which
+//!    must return exactly what a full [`execute`] returns: `Ok` for a
+//!    result, and for an error the same error text.
 //!
 //! Agreement is Spider execution-match (`ResultSet::same_result`:
 //! multiset of rows, ordered-list comparison when both sides carry an
@@ -23,7 +26,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sb_engine::{
-    execute_reference, execute_with, Database, EngineError, ExecOptions, JoinStrategy, ResultSet,
+    execute, execute_reference, execute_with, Database, EngineError, ExecOptions, JoinStrategy,
+    ResultSet,
 };
 use sb_sql::Query;
 
@@ -183,8 +187,9 @@ fn agree(reference: &Outcome, executor: &Outcome) -> bool {
     }
 }
 
-/// Run `query` through the round-trip check, the reference interpreter
-/// and the full configuration matrix. `Ok(())` means total agreement.
+/// Run `query` through the round-trip check, the reference interpreter,
+/// the full configuration matrix and the validity-check entry. `Ok(())`
+/// means total agreement.
 pub fn check_query(db: &Database, query: &Query) -> Result<(), Disagreement> {
     let sql = query.to_string();
     match sb_sql::parse(&sql) {
@@ -219,6 +224,23 @@ pub fn check_query(db: &Database, query: &Query) -> Result<(), Disagreement> {
                 executor: got.label(),
             });
         }
+    }
+
+    // `check` builds no rows but must decide exactly as a full run
+    // does: same `Ok`/`Err`, and the same error, not just its kind.
+    let full = run_caught(|| execute(db, query));
+    let checked = run_caught(|| db.check_query(query).map(|()| ResultSet::empty(Vec::new())));
+    let same = match (&full, &checked) {
+        (Outcome::Ok(_), Outcome::Ok(_)) => true,
+        (Outcome::Err(a), Outcome::Err(b)) => a == b,
+        _ => false,
+    };
+    if !same {
+        return Err(Disagreement::Mismatch {
+            config: "check".to_string(),
+            reference: format!("execute → {}", full.label()),
+            executor: format!("check → {}", checked.label()),
+        });
     }
     Ok(())
 }

@@ -19,10 +19,11 @@ use crate::{DbCatalog, NlToSql, Pair};
 use sb_embed::embed;
 use sb_engine::Database;
 use sb_nl::{Realizer, Style};
-use sb_schema::{ColumnType, EnhancedSchema};
+use sb_schema::{ColumnType, EnhancedSchema, Schema};
 use sb_sql::{
     AggArg, AggFunc, BinaryOp, Expr, Join, Literal, OrderItem, Query, Select, SelectItem, TableRef,
 };
+use std::collections::HashMap;
 
 /// The SmBoP-like system.
 #[derive(Debug, Clone, Default)]
@@ -402,25 +403,67 @@ fn mention_pos(q_tokens: &[String], column: &str) -> Option<usize> {
         .position(|t| t == first || crate::linker::singular_eq_pub(t, first))
 }
 
+/// What [`score_features`] needs to know about the question, computed
+/// once per question rather than once per candidate.
+struct QuestionFacts<'q> {
+    q_tokens: &'q [String],
+    /// Mentioned linked columns with their first mention position, in
+    /// link order.
+    mentions: Vec<(usize, String)>,
+    /// Earliest-mentioned linked column: our questions (like most NL
+    /// questions) name the projection first.
+    earliest: Option<(usize, String)>,
+    /// Each question token parsed as a number, if it is one.
+    numbers: Vec<Option<f64>>,
+    /// [`column_mentioned`] for every schema column, by name as stored
+    /// and ASCII-lowercased (the forms candidates spell them in).
+    mentioned: HashMap<String, bool>,
+}
+
+impl<'q> QuestionFacts<'q> {
+    fn of(q_tokens: &'q [String], link: &LinkResult, schema: &Schema) -> QuestionFacts<'q> {
+        let mentions: Vec<(usize, String)> = link
+            .columns
+            .iter()
+            .filter_map(|lc| mention_pos(q_tokens, &lc.column).map(|p| (p, lc.column.clone())))
+            .collect();
+        let earliest = mentions.iter().min().cloned();
+        let numbers = q_tokens.iter().map(|t| t.parse::<f64>().ok()).collect();
+        let mut mentioned = HashMap::new();
+        for c in schema.tables.iter().flat_map(|t| &t.columns) {
+            let hit = column_mentioned(q_tokens, &c.name);
+            mentioned.insert(c.name.to_ascii_lowercase(), hit);
+            mentioned.insert(c.name.clone(), hit);
+        }
+        QuestionFacts {
+            q_tokens,
+            mentions,
+            earliest,
+            numbers,
+            mentioned,
+        }
+    }
+
+    /// [`column_mentioned`] for `column`, from the table when present.
+    fn column_mentioned(&self, column: &str) -> bool {
+        match self.mentioned.get(column) {
+            Some(&hit) => hit,
+            None => column_mentioned(self.q_tokens, column),
+        }
+    }
+}
+
 /// The hand-built analogue of a learned tree scorer: rewards candidates
 /// whose shape and column mentions align with the question's cues and
 /// evidence.
-fn score_features(c: &Query, q_tokens: &[String], cues: &QuestionCues, link: &LinkResult) -> f64 {
+fn score_features(c: &Query, facts: &QuestionFacts, cues: &QuestionCues, link: &LinkResult) -> f64 {
     let mut score = 0.0;
-    let mut has_count = false;
     let mut has_group = false;
     let mut has_join = false;
     let mut has_or = false;
     let mut n_literals = 0usize;
     let mut n_gt = 0usize;
     let mut n_lt = 0usize;
-    // Earliest-mentioned linked column: our questions (like most NL
-    // questions) name the projection first.
-    let earliest = link
-        .columns
-        .iter()
-        .filter_map(|lc| mention_pos(q_tokens, &lc.column).map(|p| (p, lc.column.clone())))
-        .min();
     for s in c.selects() {
         has_group |= !s.group_by.is_empty();
         has_join |= !s.joins.is_empty();
@@ -439,7 +482,7 @@ fn score_features(c: &Query, q_tokens: &[String], cues: &QuestionCues, link: &Li
                 if filter_cols.contains(&col.column.as_str()) {
                     score -= 0.1;
                 }
-                if let Some((_, first_col)) = &earliest {
+                if let Some((_, first_col)) = &facts.earliest {
                     score += if col.column.eq_ignore_ascii_case(first_col) {
                         0.2
                     } else {
@@ -450,22 +493,20 @@ fn score_features(c: &Query, q_tokens: &[String], cues: &QuestionCues, link: &Li
             match expr {
                 Expr::Agg { func, arg, .. } => {
                     if *func == AggFunc::Count {
-                        has_count = true;
                         score += if cues.count { 0.3 } else { -0.25 };
                     } else {
                         score += if cues.aggs.contains(func) { 0.35 } else { -0.3 };
                         if let AggArg::Expr(inner) = arg {
-                            score += mention_bonus(inner, q_tokens, 0.18);
+                            score += mention_bonus(inner, facts, 0.18);
                         }
                     }
                 }
                 other => {
-                    score += mention_bonus(other, q_tokens, 0.18);
+                    score += mention_bonus(other, facts, 0.18);
                     if cues.count && !has_group {
                         score -= 0.15;
                     }
-                    for f in &cues.aggs {
-                        let _ = f;
+                    for _ in &cues.aggs {
                         score -= 0.15;
                     }
                 }
@@ -473,9 +514,9 @@ fn score_features(c: &Query, q_tokens: &[String], cues: &QuestionCues, link: &Li
         }
         if let Some(sel) = &s.selection {
             for conj in sel.conjuncts() {
-                score += mention_bonus(conj, q_tokens, 0.10);
+                score += mention_bonus(conj, facts, 0.10);
                 count_ops(conj, &mut n_gt, &mut n_lt);
-                score += pairing_bonus(conj, q_tokens, link);
+                score += pairing_bonus(conj, facts);
             }
             n_literals += sb_sql::visitor::collect_literals(c)
                 .iter()
@@ -500,7 +541,6 @@ fn score_features(c: &Query, q_tokens: &[String], cues: &QuestionCues, link: &Li
         (false, true) => -0.25,
         _ => 0.0,
     };
-    let _ = has_count;
     score += match (cues.join, has_join) {
         (true, true) => 0.3,
         (true, false) => -0.25,
@@ -538,7 +578,7 @@ fn count_ops(e: &Expr, gt: &mut usize, lt: &mut usize) {
 /// Bonus when a numeric filter pairs each question number with the column
 /// mentioned immediately before it ("the stadium id equals 18" → the 18
 /// belongs to stadium_id).
-fn pairing_bonus(e: &Expr, q_tokens: &[String], link: &LinkResult) -> f64 {
+fn pairing_bonus(e: &Expr, facts: &QuestionFacts) -> f64 {
     let mut bonus = 0.0;
     match e {
         Expr::Binary { left, op, right } if op.is_comparison() => {
@@ -550,24 +590,15 @@ fn pairing_bonus(e: &Expr, q_tokens: &[String], link: &LinkResult) -> f64 {
                 };
                 if let Some(n) = n {
                     // Token index of this number.
-                    let num_pos = q_tokens.iter().position(|t| {
-                        t.parse::<f64>()
-                            .map(|x| (x - n).abs() < 1e-9)
-                            .unwrap_or(false)
-                            || t.parse::<f64>()
-                                .map(|x| (x - n.trunc()).abs() < 1e-9)
-                                .unwrap_or(false)
+                    let num_pos = facts.numbers.iter().position(|x| {
+                        x.is_some_and(|x| (x - n).abs() < 1e-9 || (x - n.trunc()).abs() < 1e-9)
                     });
                     if let Some(np) = num_pos {
                         // Nearest mentioned linked column before the number.
-                        let nearest = link
-                            .columns
+                        let nearest = facts
+                            .mentions
                             .iter()
-                            .filter_map(|lc| {
-                                mention_pos(q_tokens, &lc.column)
-                                    .filter(|p| *p < np)
-                                    .map(|p| (p, lc.column.clone()))
-                            })
+                            .filter(|(p, _)| *p < np)
                             .max_by_key(|(p, _)| *p);
                         if let Some((_, nearest_col)) = nearest {
                             bonus += if nearest_col.eq_ignore_ascii_case(&col.column) {
@@ -585,8 +616,8 @@ fn pairing_bonus(e: &Expr, q_tokens: &[String], link: &LinkResult) -> f64 {
             op: BinaryOp::And | BinaryOp::Or,
             right,
         } => {
-            bonus += pairing_bonus(left, q_tokens, link);
-            bonus += pairing_bonus(right, q_tokens, link);
+            bonus += pairing_bonus(left, facts);
+            bonus += pairing_bonus(right, facts);
         }
         _ => {}
     }
@@ -605,12 +636,12 @@ fn filter_literal(e: &Expr) -> Option<&Literal> {
 }
 
 /// Mention bonus for every column inside `e`.
-fn mention_bonus(e: &Expr, q_tokens: &[String], w: f64) -> f64 {
+fn mention_bonus(e: &Expr, facts: &QuestionFacts, w: f64) -> f64 {
     let mut cols: Vec<&str> = Vec::new();
     collect_cols(e, &mut cols);
     let mut bonus = 0.0;
     for c in cols {
-        if column_mentioned(q_tokens, c) {
+        if facts.column_mentioned(c) {
             bonus += w;
         } else {
             bonus -= w / 2.0;
@@ -767,18 +798,20 @@ impl NlToSql for SmBopSim {
         let q_embed = embed(question);
         let q_tokens = sb_embed::tokenize(question);
         let cues = QuestionCues::of(question);
+        let facts = QuestionFacts::of(&q_tokens, &link, &db.schema);
         let best = candidates
             .into_iter()
             .map(|c| {
                 // Skip candidates that do not execute (bottom-up
-                // construction is schema-typed, so this is rare).
-                let exec_ok = db.run_query(&c).is_ok();
+                // construction is schema-typed, so this is rare). Only
+                // validity matters, so no result rows are built.
+                let exec_ok = db.check_query(&c).is_ok();
                 let text = realizer.realize(&c, Style::reference());
                 let mut score = 0.5 * q_embed.cosine(&embed(&text)) as f64;
                 if !exec_ok {
                     score -= 10.0;
                 }
-                score += score_features(&c, &q_tokens, &cues, &link);
+                score += score_features(&c, &facts, &cues, &link);
                 (score, c)
             })
             .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));

@@ -586,7 +586,7 @@ impl ValueNetSim {
                 if let Some((sql, fill)) =
                     self.instantiate(&self.sketches[idx].template, &link, &q_tokens, db, rotation)
                 {
-                    let ok = db.run(&sql).is_ok();
+                    let ok = db.check(&sql).is_ok();
                     out.push((
                         sim,
                         if ok { fill } else { f64::NEG_INFINITY },
@@ -690,7 +690,7 @@ impl NlToSql for ValueNetSim {
                         votes[skeleton.as_str()] / near.iter().map(|(s, _)| s).sum::<f32>();
                     if arity_ok && (sim > 0.96 || (sim > 0.92 && consensus > 0.55)) {
                         if let Some(repaired) = reground_values(&m.sql, &link) {
-                            if db.run(&repaired).is_ok() {
+                            if db.check(&repaired).is_ok() {
                                 return repaired;
                             }
                         }
@@ -746,7 +746,7 @@ impl NlToSql for ValueNetSim {
                 {
                     // Grammar-constrained decoding: only executable SQL
                     // survives the beam.
-                    if db.run(&sql).is_err() {
+                    if db.check(&sql).is_err() {
                         continue;
                     }
                     let combined = sim as f64 * 3.0 + fill * 1.0;

@@ -14,6 +14,11 @@ SB_FUZZ_COUNT=500 cargo test -q -p sb-fuzz
 echo "== cargo test -q (workspace) =="
 cargo test -q --workspace
 
+echo "== benchmark package: build and test sbbench =="
+# benchmark/ is a cargo package of its own (not a workspace member) that
+# calls the crates' public API, so a breaking API change fails here.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== plan snapshots: regenerate and diff committed goldens =="
 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots
 git diff --exit-code -- tests/goldens/plans || {
