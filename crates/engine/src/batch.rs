@@ -3774,7 +3774,7 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
     let mut out_rows = Vec::new();
     let mut keys = Vec::new();
     for g in 0..n_groups {
-        if !keep[g] || input.out == Output::Sink {
+        if !keep[g] {
             continue;
         }
         out_rows.push(proj_groups.iter().map(|col| col[g].clone()).collect());

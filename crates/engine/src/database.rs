@@ -189,7 +189,7 @@ impl Database {
     /// [`Database::run_query`], without building result rows (see
     /// [`crate::exec::check_with_profile`]).
     pub fn check_query(&self, query: &sb_sql::Query) -> Result<()> {
-        crate::exec::check_with_profile(self, query, ExecOptions::default(), None)
+        crate::exec::check_with_profile(self, query, None)
     }
 
     /// Parse and execute with explicit executor options (used by the

@@ -337,20 +337,16 @@ pub fn execute_with_plan_profile(
 }
 
 /// Validity check: plan and execute `query` exactly as
-/// [`execute_with_profile`] does and return the same `Ok`/`Err` — the
+/// [`execute_with_profile`] does under the default [`ExecOptions`] (the
+/// only options a check runs with) and return the same `Ok`/`Err` — the
 /// same error value included — without building the top-level
 /// `SELECT`'s result rows. For callers that only read `is_ok()`
 /// (candidate filtering in the NL2SQL systems; see
 /// [`Database::check_query`]). The profile records the same
 /// columnar/fallback decisions a full run would, which is how the tests
 /// pin that a check never leaves the batch path a full run takes.
-pub fn check_with_profile(
-    db: &Database,
-    query: &Query,
-    opts: ExecOptions,
-    prof: Option<&QueryProfile>,
-) -> Result<()> {
-    execute_query(db, query, opts, None, prof, Output::Sink).map(drop)
+pub fn check_with_profile(db: &Database, query: &Query, prof: Option<&QueryProfile>) -> Result<()> {
+    execute_query(db, query, ExecOptions::default(), None, prof, Output::Sink).map(drop)
 }
 
 /// What the top-level `SELECT` of a statement produces. Everything

@@ -31,7 +31,7 @@ fn run_and_check(db: &Database, sql: &str) -> (Result<usize, EngineError>, bool)
     let run_prof = QueryProfile::new();
     let run = execute_with_profile(db, &query, opts, Some(&run_prof));
     let check_prof = QueryProfile::new();
-    let checked = check_with_profile(db, &query, opts, Some(&check_prof));
+    let checked = check_with_profile(db, &query, Some(&check_prof));
     match (&run, &checked) {
         (Ok(_), Ok(())) => {}
         (Err(a), Err(b)) => assert_eq!(a, b, "different errors for `{sql}`"),
