@@ -110,16 +110,9 @@ pub(crate) struct BatchInput<'a, 'q> {
     /// Full statement scope (all relations, original columns).
     pub(crate) scope: &'a Scope,
     pub(crate) relations: &'a [Relation<'a>],
-    /// Pushed-down conjuncts per relation, planner order.
-    pub(crate) pushed: &'a [Vec<&'q Expr>],
-    /// Residual filter conjuncts over the joined row.
-    pub(crate) residual: &'a [&'q Expr],
-    pub(crate) planned: Option<&'a sb_opt::PlannedSelect<'q>>,
-    /// Whether the executor is forced to nested-loop joins (the batch
-    /// path only implements hash joins, and must not silently hash-join
-    /// a query whose row path would error inside a nested-loop
-    /// predicate).
-    pub(crate) nested_loop: bool,
+    /// The planner's decisions: pushed-down conjuncts per relation,
+    /// residual conjuncts over the joined row, and the join order.
+    pub(crate) planned: &'a sb_opt::PlannedSelect<'q>,
     /// Morsel-parallel execution knobs (workers, morsel size).
     pub(crate) par: ParConfig,
     /// Per-statement profile block (EXPLAIN ANALYZE), if requested.
@@ -150,9 +143,6 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
 }
 
 fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
-    if input.nested_loop && !input.select.joins.is_empty() {
-        return bail(input, "nested-loop");
-    }
     // Base tables with clean columnar images only.
     let tables: Vec<Arc<ColumnarTable>> = match input
         .relations
@@ -175,6 +165,7 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     // typing problem bails before touching data, leaving error behavior
     // (including "zero rows swallow residual errors") to the row path.
     let pushed: Vec<Vec<BoolK>> = match input
+        .planned
         .pushed
         .iter()
         .map(|conjs| conjs.iter().map(|c| cx.compile_bool(c)).collect())
@@ -184,6 +175,7 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
         None => return bail(input, "predicate-kernel"),
     };
     let residual: Vec<BoolK> = match input
+        .planned
         .residual
         .iter()
         .map(|c| cx.compile_bool(c))
@@ -2410,57 +2402,24 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
         return Some(sels);
     }
 
-    let reordered = input.planned.is_some_and(|p| p.reordered);
-    let (order, steps) = if reordered {
-        let p = input.planned.expect("reordered implies planned");
-        let mut steps = Vec::with_capacity(p.steps.len());
-        for step in &p.steps {
-            let key = step.key?;
-            steps.push(JoinStep {
-                new_rel: step.rel,
-                probe: ColId {
-                    rel: key.left_rel,
-                    col: key.left_col,
-                },
-                build_col: key.right_col,
-            });
-        }
-        (p.order.clone(), steps)
-    } else {
-        // Source order: extract each join's equi-key, requiring one side
-        // in the accumulated scope and the other on the new relation —
-        // anything else is a nested-loop join in the row path, whose
-        // per-pair predicate evaluation can error.
-        let mut steps = Vec::with_capacity(input.select.joins.len());
-        for (j, join) in input.select.joins.iter().enumerate() {
-            let new_rel = j + 1;
-            let Some(Expr::Binary {
-                left,
-                op: BinaryOp::Eq,
-                right,
-            }) = &join.constraint
-            else {
-                return None;
-            };
-            let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-                return None;
-            };
-            let (a, b) = (cx.resolve(a)?, cx.resolve(b)?);
-            let (probe, build) = if a.rel < new_rel && b.rel == new_rel {
-                (a, b)
-            } else if b.rel < new_rel && a.rel == new_rel {
-                (b, a)
-            } else {
-                return None;
-            };
-            steps.push(JoinStep {
-                new_rel,
-                probe,
-                build_col: build.col,
-            });
-        }
-        ((0..n).collect(), steps)
-    };
+    // The planner's join steps, in execution order. A step carries a
+    // hash key only for a qualified column equality linking the new
+    // relation to one already joined; any other step is a nested-loop
+    // join in the row path, whose per-pair predicate evaluation can
+    // error: bail.
+    let order = &input.planned.order;
+    let mut steps = Vec::with_capacity(input.planned.steps.len());
+    for step in &input.planned.steps {
+        let key = step.key?;
+        steps.push(JoinStep {
+            new_rel: step.rel,
+            probe: ColId {
+                rel: key.left_rel,
+                col: key.left_col,
+            },
+            build_col: key.right_col,
+        });
+    }
 
     // Accumulated output: one row-id column per joined relation.
     let mut acc_rels: Vec<usize> = vec![order[0]];
@@ -2598,7 +2557,7 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
         by_rel[rel] = std::mem::take(&mut acc[pos]);
     }
 
-    if reordered {
+    if input.planned.reordered {
         // Restore source-order emission: selection vectors are ascending,
         // so sorting by the row-id tuple in source-relation order equals
         // the row path's sort by scan-position tags. Surviving tuples are

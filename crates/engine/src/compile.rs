@@ -1,20 +1,19 @@
-//! Compile-once expression programs.
+//! Compile-once expression programs: the row engine's only evaluator.
 //!
-//! The tree-walking interpreter in [`crate::eval`] re-resolves every
-//! `ColumnRef` by linear name comparison on every row. This module
-//! lowers an [`Expr`] against its [`Scope`] exactly once, producing a
-//! [`CExpr`] program in which column references are positional slots,
-//! literal subtrees are constant-folded, and subqueries carry a
-//! per-statement result cache — so per-row evaluation does zero name
-//! lookups, zero `String` formatting, and no `Value` clones for
-//! comparisons.
+//! This module lowers an [`Expr`] against its [`Scope`] exactly once,
+//! producing a [`CExpr`] program in which column references are
+//! positional slots, literal subtrees are constant-folded, and
+//! subqueries carry a per-statement result cache — so per-row
+//! evaluation does zero name lookups, zero `String` formatting, and no
+//! `Value` clones for comparisons.
 //!
-//! Error parity with the interpreter is load-bearing: the differential
-//! fuzzer runs both paths against each other. Binding errors
-//! (`UnknownColumn`, `AmbiguousColumn`, …) discovered at compile time
-//! are *not* raised immediately — the interpreter only reports them
-//! when a row actually reaches the expression, so a pushdown-emptied
-//! scan must still succeed. They become [`CExpr::Fail`] poison nodes
+//! Error parity with the tuple-at-a-time reference interpreter
+//! ([`crate::reference`]) is load-bearing: the differential fuzzer runs
+//! every statement through both. Binding errors (`UnknownColumn`,
+//! `AmbiguousColumn`, …) discovered at compile time are *not* raised
+//! immediately — the reference only reports them when a row actually
+//! reaches the expression, so a pushdown-emptied scan must still
+//! succeed. They become [`CExpr::Fail`] poison nodes
 //! that reproduce the error if (and only if) evaluation touches them,
 //! preserving short-circuit semantics such as `FALSE AND nope = 1`.
 
@@ -97,7 +96,7 @@ pub(crate) enum CExpr<'q> {
     /// A literal, or a folded constant subtree.
     Const(Value),
     /// A poison node: raises its error when evaluated, exactly where the
-    /// interpreter would raise it row-side.
+    /// reference interpreter would raise it row-side.
     Fail(EngineError),
     /// Unary operator.
     Unary {
@@ -106,7 +105,7 @@ pub(crate) enum CExpr<'q> {
         /// Operand program.
         expr: Box<CExpr<'q>>,
     },
-    /// Three-valued AND/OR with interpreter-identical short-circuiting.
+    /// Three-valued AND/OR with the reference's short-circuiting.
     Logical {
         /// `And` or `Or`.
         op: BinaryOp,
@@ -191,7 +190,7 @@ pub(crate) enum CExpr<'q> {
 
 /// Lower `expr` against `scope`. Never fails: binding errors become
 /// [`CExpr::Fail`] poison nodes so zero-row inputs keep succeeding the
-/// way the interpreter does.
+/// way they do in the reference interpreter.
 pub(crate) fn compile<'q>(expr: &'q Expr, scope: &Scope, ctx: &EvalContext) -> CExpr<'q> {
     let node = match expr {
         Expr::Column(c) => match scope.resolve(c) {
@@ -282,7 +281,7 @@ pub(crate) fn compile<'q>(expr: &'q Expr, scope: &Scope, ctx: &EvalContext) -> C
 
 /// Fold a node whose children are all constants. Evaluation errors fold
 /// to poison, not to an immediate failure: `1 + 'x'` only errors when a
-/// row reaches it, same as the interpreter.
+/// row reaches it, same as in the reference interpreter.
 fn maybe_fold<'q>(node: CExpr<'q>, ctx: &EvalContext) -> CExpr<'q> {
     if !node.foldable() {
         return node;
@@ -301,8 +300,8 @@ impl<'q> CExpr<'q> {
     /// Whether the node can be evaluated now, once, instead of per row.
     /// Children were already folded bottom-up, so "all children are
     /// `Const`" is the full recursive condition. Subquery nodes never
-    /// fold: their execution order against the statement memo must match
-    /// the interpreter's.
+    /// fold: a subquery's errors must surface only when a row reaches
+    /// it, as in the reference interpreter.
     fn foldable(&self) -> bool {
         match self {
             CExpr::Slot(_)
@@ -337,9 +336,9 @@ impl<'q> CExpr<'q> {
         }
     }
 
-    /// Evaluate against one row. Semantically identical to
-    /// [`eval::eval`] on the source expression, including error text,
-    /// error order, and three-valued logic.
+    /// Evaluate against one row. Semantically identical to the
+    /// reference interpreter's `eval_scalar` on the source expression,
+    /// including error text, error order, and three-valued logic.
     pub(crate) fn eval<'a>(&'a self, row: &'a [Value], ctx: &EvalContext) -> Result<CV<'a>> {
         match self {
             CExpr::Slot(i) => Ok(CV::Ref(&row[*i])),
@@ -535,10 +534,10 @@ pub(crate) enum GArg<'q> {
     Expr(CExpr<'q>),
 }
 
-/// A compiled group-context expression, mirroring the interpreter's
-/// `eval_grouped` recursion: aggregates consume the group, `Binary`/
-/// `Unary` combine grouped results, anything else evaluates on the
-/// group's first row (NULL on an empty implicit group).
+/// A compiled group-context expression, mirroring the reference
+/// interpreter's `eval_grouped` recursion: aggregates consume the
+/// group, `Binary`/`Unary` combine grouped results, anything else
+/// evaluates on the group's first row (NULL on an empty implicit group).
 pub(crate) enum GExpr<'q> {
     /// Aggregate call over the group's rows.
     Agg {
@@ -550,7 +549,7 @@ pub(crate) enum GExpr<'q> {
         arg: GArg<'q>,
     },
     /// Binary combination of grouped operands (evaluated eagerly, like
-    /// the interpreter, even for AND/OR).
+    /// the reference, even for AND/OR).
     Binary {
         /// Left operand program.
         left: Box<GExpr<'q>>,
@@ -608,7 +607,7 @@ impl<'q> GExpr<'q> {
                 arg,
             } => fold_group_aggregate(*func, *distinct, arg, group, ctx),
             GExpr::Binary { left, op, right } => {
-                // Both sides evaluate eagerly — the interpreter computes
+                // Both sides evaluate eagerly — the reference computes
                 // grouped operands before any logical short-circuiting.
                 let l = left.eval(group, ctx)?;
                 let r = right.eval(group, ctx)?;
@@ -671,11 +670,12 @@ fn fold_group_aggregate(
     finish_aggregate(func, values)
 }
 
-/// A compiled ORDER BY key for the non-grouped path. The interpreter's
-/// alias fallback (a bare column that fails to resolve may name a
-/// projection alias) is decided once at compile time; the expression's
-/// display text is precomputed so the interpreter's error-rewrapping
-/// (`UnknownColumn(expr.to_string())`) costs nothing per row.
+/// A compiled ORDER BY key for the non-grouped path. The alias
+/// fallback (a bare column that fails to resolve may name a projection
+/// alias; see the reference's `order_key`) is decided once at compile
+/// time; the expression's display text is precomputed so the
+/// error-rewrapping (`UnknownColumn(expr.to_string())`) costs nothing
+/// per row.
 pub(crate) enum OrderProg<'q> {
     /// Evaluate the program against the input row.
     Expr {
@@ -729,7 +729,7 @@ impl OrderProg<'_> {
                 Ok(v) => Ok(v.into_value()),
                 // Any unknown-column error — including one surfacing from
                 // a subquery at runtime — is reported under the ORDER BY
-                // expression's own text, exactly like the interpreter.
+                // expression's own text, exactly like the reference.
                 Err(EngineError::UnknownColumn(_)) => {
                     Err(EngineError::UnknownColumn(display.clone()))
                 }
@@ -798,7 +798,7 @@ mod tests {
         let mut scope = Scope::default();
         scope.push("r", vec!["id".into(), "name".into()]);
         // id = 0 AND nope = 1: the unknown column only errors when the
-        // left side doesn't short-circuit — same as the interpreter.
+        // left side doesn't short-circuit — same as the reference.
         let expr = Expr::binary(
             Expr::binary(Expr::col(None, "id"), BinaryOp::Eq, Expr::int(0)),
             BinaryOp::And,

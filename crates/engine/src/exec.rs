@@ -19,11 +19,12 @@
 //! strings, and ORDER BY + LIMIT keeps only the top K rows in a bounded
 //! heap instead of sorting everything.
 //!
-//! [`ExecOptions`] can disable the compiled evaluator (falling back to
-//! the tree-walking interpreter) and force the legacy behavior
-//! (deep-copy scans, no pushdown, build-on-right hash joins) or a pure
-//! nested-loop plan; the benchmarks use those to measure before/after,
-//! the differential tests to check strategy equivalence.
+//! Every `SELECT` is planned by `sb-opt` (pushdown, pruning, join
+//! reordering, build sides) and then runs on the columnar batch engine
+//! when it can, or on the compiled row pipeline in this module. Those
+//! are the only two paths: [`ExecOptions`] switches the batch engine
+//! and its morsel parallelism, nothing else. Correctness is judged
+//! against the naive interpreter in [`crate::reference`].
 //!
 //! Operators report `sb-obs` counters (`engine.scan.rows`,
 //! `engine.scan.rows_pruned_pushdown`, `engine.join.hash.*`,
@@ -36,14 +37,14 @@
 use crate::compile::{compile, compile_grouped, compile_order_key, CExpr, GExpr, OrderProg};
 use crate::database::{Database, Row};
 use crate::error::{EngineError, Result};
-use crate::eval::{eval, eval_filter, truth, EvalContext, Scope};
+use crate::eval::{truth_ref, EvalContext, Scope};
 use crate::key::{self, FxBuild, KeyIndex, RowSet};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_obs::{FixedOp, OpStats, QueryProfile};
 use sb_sql::{
-    AggArg, AggFunc, BinaryOp, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem,
-    SetExpr, SetOp, TableFactor, TableRef,
+    AggFunc, BinaryOp, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem, SetExpr, SetOp,
+    TableFactor, TableRef,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -94,40 +95,13 @@ pub(crate) fn prof_elapsed(t0: Option<Instant>, op: Option<&OpStats>) {
     }
 }
 
-/// Join algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Hash join on equi-constraints, building on the smaller input;
-    /// nested loop otherwise.
-    #[default]
-    Auto,
-    /// Hash join on equi-constraints, always building on the right input
-    /// (no build-side selection); nested loop otherwise.
-    BuildRight,
-    /// Nested loop for every join, even equi-joins.
-    NestedLoop,
-}
-
-/// Executor tuning knobs. [`Default`] is the optimized configuration;
-/// [`ExecOptions::legacy`] reproduces the pre-optimization executor for
-/// before/after benchmarking.
+/// Executor tuning knobs: the columnar batch engine and its morsel
+/// parallelism. [`Default`] is what production callers run (sb-serve
+/// only caps `workers`); the other settings exist to test and bench the
+/// row pipeline and serial batch execution against it. No setting
+/// changes results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Push single-relation WHERE conjuncts down into scans.
-    pub predicate_pushdown: bool,
-    /// Join algorithm selection.
-    pub join: JoinStrategy,
-    /// Deep-copy row data on scan instead of sharing `Arc` handles.
-    pub copy_scans: bool,
-    /// Lower expressions to compiled programs once per statement instead
-    /// of interpreting the AST per row.
-    pub compiled: bool,
-    /// Plan each `SELECT` through `sb-opt` — cost-based join reordering
-    /// (under [`JoinStrategy::Auto`]), estimate-driven build sides, and
-    /// projection pushdown. Off, the executor runs joins in source
-    /// order with its runtime build-side heuristic, as before the
-    /// optimizer existed.
-    pub optimize: bool,
     /// Attempt vectorized batch execution over columnar storage for
     /// structurally eligible statements (see
     /// [`sb_opt::columnar_eligible`]). The batch path falls back to the
@@ -159,11 +133,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            predicate_pushdown: true,
-            join: JoinStrategy::Auto,
-            copy_scans: false,
-            compiled: true,
-            optimize: true,
             columnar: true,
             parallel: true,
             workers: 0,
@@ -173,23 +142,6 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The pre-optimization executor: materializing scans, no pushdown,
-    /// per-row AST interpretation, and the cloning O(n·m) nested-loop
-    /// join.
-    pub fn legacy() -> Self {
-        ExecOptions {
-            predicate_pushdown: false,
-            join: JoinStrategy::NestedLoop,
-            copy_scans: true,
-            compiled: false,
-            optimize: false,
-            columnar: false,
-            parallel: false,
-            workers: 0,
-            morsel_rows: 0,
-        }
-    }
-
     /// The effective parallel configuration for one batch execution:
     /// `(workers, morsel_rows)`. Workers come from the explicit
     /// override, else the rayon shim (`RAYON_NUM_THREADS` / cores);
@@ -231,14 +183,9 @@ impl ExecOptions {
         self
     }
 
-    /// The `sb-opt` rule switches implied by these options.
+    /// The `sb-opt` view of these options (EXPLAIN labels only).
     pub(crate) fn opt_options(&self) -> sb_opt::OptOptions {
         sb_opt::OptOptions {
-            pushdown: self.predicate_pushdown,
-            reorder: matches!(self.join, JoinStrategy::Auto),
-            choose_build: matches!(self.join, JoinStrategy::Auto),
-            hash_joins: !matches!(self.join, JoinStrategy::NestedLoop),
-            prune: true,
             columnar: self.columnar,
             parallel: self.parallel,
         }
@@ -299,8 +246,8 @@ pub fn execute(db: &Database, query: &Query) -> Result<ResultSet> {
 /// must have been captured from the *same* statement text against the
 /// *same* database snapshot; a structurally mismatched plan is detected
 /// and falls back to fresh planning, so the result is always identical
-/// to [`execute_with`] — errors included. Set operations and statements
-/// planned with `optimize` off ignore the plan entirely.
+/// to [`execute_with`] — errors included. Set operations ignore the
+/// plan.
 pub fn execute_with_plan(
     db: &Database,
     query: &Query,
@@ -401,11 +348,10 @@ fn execute_query(
 /// [`execute_with_plan`] on every subsequent request.
 ///
 /// Returns `None` whenever caching would not be sound or useful: the
-/// planner is disabled (`opts.optimize` off), the query is a set
-/// operation, a FROM factor is a derived table (planning one means
-/// executing its subquery — that work belongs to the request, not the
-/// prepare step), or a table doesn't resolve (execution will surface
-/// the binding error itself). The plan derives only from the immutable
+/// query is a set operation, a FROM factor is a derived table (planning
+/// one means executing its subquery — that work belongs to the request,
+/// not the prepare step), or a table doesn't resolve (execution will
+/// surface the binding error itself). The plan derives only from the immutable
 /// snapshot's schema and row counts, so it reproduces exactly what
 /// fresh planning inside [`execute_with`] would decide.
 pub fn plan_top_select(
@@ -413,9 +359,6 @@ pub fn plan_top_select(
     query: &Query,
     opts: ExecOptions,
 ) -> Option<sb_opt::OwnedPlan> {
-    if !opts.optimize {
-        return None;
-    }
     let SetExpr::Select(select) = &query.body else {
         return None;
     };
@@ -667,15 +610,8 @@ fn note_nested_loop_join() {
 
 #[cold]
 #[inline(never)]
-fn note_dispatch(compiled: bool) {
-    sb_obs::count(
-        if compiled {
-            "engine.dispatch.compiled"
-        } else {
-            "engine.dispatch.interpreted"
-        },
-        1,
-    );
+fn note_dispatch() {
+    sb_obs::count("engine.dispatch.compiled", 1);
 }
 
 #[cold]
@@ -692,37 +628,21 @@ fn note_groups(created: usize) {
 }
 
 /// Scan one relation, applying its pushed-down conjuncts. Base-table
-/// scans share `Arc` row handles (or deep-copy under
-/// `ExecOptions::copy_scans`); derived tables own their rows already.
+/// scans share `Arc` row handles; derived tables own their rows already.
 fn scan_relation(
     rel: Relation<'_>,
     pushed: &[&Expr],
     ctx: &EvalContext,
-    opts: ExecOptions,
     prof_op: Option<&OpStats>,
 ) -> Result<Vec<ExecRow>> {
     let mut local = Scope::default();
     local.push(&rel.binding, rel.columns.clone());
-    // Compile pushed conjuncts once against the single-relation scope;
-    // the interpreter path re-resolves them per row.
-    let progs: Option<Vec<CExpr>> = opts
-        .compiled
-        .then(|| pushed.iter().map(|c| compile(c, &local, ctx)).collect());
+    // Compile pushed conjuncts once against the single-relation scope.
+    let progs: Vec<CExpr> = pushed.iter().map(|c| compile(c, &local, ctx)).collect();
     let keep = |row: &[Value]| -> Result<bool> {
-        match &progs {
-            Some(progs) => {
-                for prog in progs {
-                    if !prog.eval_filter(row, ctx)? {
-                        return Ok(false);
-                    }
-                }
-            }
-            None => {
-                for conj in pushed {
-                    if !eval_filter(conj, row, &local, ctx)? {
-                        return Ok(false);
-                    }
-                }
+        for prog in &progs {
+            if !prog.eval_filter(row, ctx)? {
+                return Ok(false);
             }
         }
         Ok(true)
@@ -736,11 +656,7 @@ fn scan_relation(
             });
             for row in &table.rows {
                 if keep(row)? {
-                    out.push(if opts.copy_scans {
-                        ExecRow::Owned(row.to_vec())
-                    } else {
-                        ExecRow::Shared(Arc::clone(row))
-                    });
+                    out.push(ExecRow::Shared(Arc::clone(row)));
                 }
             }
             if sb_obs::enabled() {
@@ -953,16 +869,15 @@ fn concat_row(left: &[Value], right: &[Value]) -> Vec<Value> {
 }
 
 /// Build the joined rows for `FROM ... JOIN ...` from pre-scanned
-/// relations, in source order. `build_sides` carries the planner's
-/// estimate-chosen hash build side per join; `None` (planning disabled)
-/// falls back to the runtime row-count heuristic.
+/// relations, in source order. `steps` carries the planner's
+/// estimate-chosen hash build side per join. Equi-joins run as hash
+/// joins; any other constraint (or none) runs as a nested loop.
 fn join_relations(
     mut scanned: Vec<Vec<ExecRow>>,
     relations: &[(String, Vec<String>)],
     joins: &[Join],
     ctx: &EvalContext,
-    opts: ExecOptions,
-    build_sides: Option<&[bool]>,
+    steps: &[sb_opt::PlannedJoin],
     bp: Option<BlockProf<'_>>,
 ) -> Result<(Scope, Vec<ExecRow>)> {
     let mut scanned = scanned.drain(..);
@@ -978,13 +893,10 @@ fn join_relations(
 
         // Attempt hash join on a column equality before extending the
         // scope (so "left side" means the scope built so far).
-        let hash_keys = if matches!(opts.join, JoinStrategy::NestedLoop) {
-            None
-        } else {
-            join.constraint
-                .as_ref()
-                .and_then(|c| equi_join_keys(c, &scope, &rel.1, &rel.0))
-        };
+        let hash_keys = join
+            .constraint
+            .as_ref()
+            .and_then(|c| equi_join_keys(c, &scope, &rel.1, &rel.0));
 
         scope.push(&rel.0, rel.1.clone());
 
@@ -1000,13 +912,7 @@ fn join_relations(
         let mut out = Vec::new();
         match hash_keys {
             Some((li, ri)) => {
-                let build_left = match opts.join {
-                    JoinStrategy::Auto => match build_sides {
-                        Some(sides) => sides[ji],
-                        None => rows.len() < jrows.len(),
-                    },
-                    _ => false,
-                };
+                let build_left = steps[ji].build_left;
                 let (build, probe) = if build_left {
                     (rows.len(), jrows.len())
                 } else {
@@ -1035,18 +941,14 @@ fn join_relations(
                 if sb_obs::enabled() {
                     note_nested_loop_join();
                 }
-                let prog = match &join.constraint {
-                    Some(c) if opts.compiled => Some(compile(c, &scope, ctx)),
-                    _ => None,
-                };
+                let prog = join.constraint.as_ref().map(|c| compile(c, &scope, ctx));
                 for l in &rows {
                     let mut matched = false;
                     for r in &jrows {
                         let row = concat_row(l, r);
-                        let keep = match (&prog, &join.constraint) {
-                            (Some(p), _) => p.eval_filter(&row, ctx)?,
-                            (None, Some(c)) => eval_filter(c, &row, &scope, ctx)?,
-                            (None, None) => true,
+                        let keep = match &prog {
+                            Some(p) => p.eval_filter(&row, ctx)?,
+                            None => true,
                         };
                         if keep {
                             out.push(ExecRow::Owned(row));
@@ -1237,7 +1139,7 @@ fn execute_select_impl(
     out: Output,
 ) -> Result<ResultSet> {
     if sb_obs::enabled() {
-        note_dispatch(opts.compiled);
+        note_dispatch();
     }
     let ctx = EvalContext::new(db);
 
@@ -1260,47 +1162,26 @@ fn execute_select_impl(
         full_scope.push(&rel.binding, rel.columns.clone());
     }
 
-    // Plan the statement (or, with optimization off, just split the
-    // WHERE clause the way the legacy path always has). Name resolution
-    // inside the planner delegates back to this scope, so pushdown and
-    // reorder decisions see exactly what the residual filter would.
-    let resolver = ScopeResolver(&full_scope);
+    // Plan the statement. Name resolution inside the planner delegates
+    // back to this scope, so pushdown and reorder decisions see exactly
+    // what the residual filter would. A cached plan (the serve-layer
+    // prepared path) skips the whole rewrite pipeline; `reify` rebuilds
+    // the exact borrowing plan the planner produced at prepare time. A
+    // mismatch — possible only if a caller pairs a plan with the wrong
+    // statement — re-plans.
     let rels_meta;
-    let planned = if opts.optimize {
-        // A cached plan (the serve-layer prepared path) skips the whole
-        // rewrite pipeline; `reify` rebuilds the exact borrowing plan the
-        // planner produced at prepare time. A mismatch — possible only if
-        // a caller pairs a plan with the wrong statement — re-plans.
-        Some(match cached.and_then(|c| c.reify(select)) {
-            Some(p) => p,
-            None => {
-                rels_meta = rel_metas(&relations);
-                let input = sb_opt::PlanInput {
-                    select,
-                    order_by,
-                    limit,
-                    rels: &rels_meta,
-                    opts: opts.opt_options(),
-                };
-                sb_opt::plan_select(&input, &resolver)
-            }
-        })
-    } else {
-        None
-    };
-    let (pushed, residual) = match &planned {
-        Some(p) => (p.pushed.clone(), p.residual.clone()),
+    let planned = match cached.and_then(|c| c.reify(select)) {
+        Some(p) => p,
         None => {
-            let nullable: Vec<bool> = std::iter::once(false)
-                .chain(select.joins.iter().map(|j| j.left))
-                .collect();
-            sb_opt::assign_pushdown(
-                select.selection.as_ref(),
-                &resolver,
-                relations.len(),
-                &nullable,
-                opts.predicate_pushdown,
-            )
+            rels_meta = rel_metas(&relations);
+            let input = sb_opt::PlanInput {
+                select,
+                order_by,
+                limit,
+                rels: &rels_meta,
+                opts: opts.opt_options(),
+            };
+            sb_opt::plan_select(&input, &ScopeResolver(&full_scope))
         }
     };
 
@@ -1315,10 +1196,7 @@ fn execute_select_impl(
             order_by,
             scope: &full_scope,
             relations: &relations,
-            pushed: &pushed,
-            residual: &residual,
-            planned: planned.as_ref(),
-            nested_loop: matches!(opts.join, JoinStrategy::NestedLoop),
+            planned: &planned,
             par: crate::batch::ParConfig::from_options(&opts),
             bp,
             out,
@@ -1344,65 +1222,43 @@ fn execute_select_impl(
         .map(|r| (r.binding.clone(), r.columns.clone()))
         .collect();
     let mut scanned = Vec::with_capacity(rel_names.len());
-    for (i, (rel, pushed)) in relations.into_iter().zip(&pushed).enumerate() {
+    for (i, (rel, pushed)) in relations.into_iter().zip(&planned.pushed).enumerate() {
         let prof_op = bp.as_ref().and_then(|b| b.scan(i));
         let t0 = prof_clock(&bp);
-        scanned.push(scan_relation(rel, pushed, &ctx, opts, prof_op)?);
+        scanned.push(scan_relation(rel, pushed, &ctx, prof_op)?);
         prof_elapsed(t0, prof_op);
     }
 
     // Projection pushdown: narrow each scan to the columns the planner
     // proved are referenced (by name, so ambiguity errors and ORDER BY
     // alias resolution behave identically on the narrowed scope).
-    if let Some(p) = &planned {
-        for (i, keep) in p.keep.iter().enumerate() {
-            let Some(kept) = keep else { continue };
-            let names: Vec<String> = kept.iter().map(|&c| rel_names[i].1[c].clone()).collect();
-            rel_names[i].1 = names;
-            for row in &mut scanned[i] {
-                let narrowed: Vec<Value> = kept.iter().map(|&c| row[c].clone()).collect();
-                *row = ExecRow::Owned(narrowed);
-            }
+    for (i, keep) in planned.keep.iter().enumerate() {
+        let Some(kept) = keep else { continue };
+        let names: Vec<String> = kept.iter().map(|&c| rel_names[i].1[c].clone()).collect();
+        rel_names[i].1 = names;
+        for row in &mut scanned[i] {
+            let narrowed: Vec<Value> = kept.iter().map(|&c| row[c].clone()).collect();
+            *row = ExecRow::Owned(narrowed);
         }
     }
 
-    let (scope, mut rows) = match &planned {
-        Some(p) if p.reordered => join_relations_reordered(scanned, &rel_names, p, bp),
-        Some(p) => join_relations(
-            scanned,
-            &rel_names,
-            &select.joins,
-            &ctx,
-            opts,
-            Some(&p.build_sides),
-            bp,
-        )?,
-        None => join_relations(scanned, &rel_names, &select.joins, &ctx, opts, None, bp)?,
+    let (scope, mut rows) = if planned.reordered {
+        join_relations_reordered(scanned, &rel_names, &planned, bp)
+    } else {
+        join_relations(scanned, &rel_names, &select.joins, &ctx, &planned.steps, bp)?
     };
 
+    let residual = &planned.residual;
     if !residual.is_empty() {
         let filter_op = bp.as_ref().and_then(|b| b.fixed(FixedOp::Filter));
         let filter_in = rows.len();
         let t0 = prof_clock(&bp);
-        let progs: Option<Vec<CExpr>> = opts
-            .compiled
-            .then(|| residual.iter().map(|c| compile(c, &scope, &ctx)).collect());
+        let progs: Vec<CExpr> = residual.iter().map(|c| compile(c, &scope, &ctx)).collect();
         let mut kept = Vec::with_capacity(rows.len());
         'row: for row in rows {
-            match &progs {
-                Some(progs) => {
-                    for prog in progs {
-                        if !prog.eval_filter(&row, &ctx)? {
-                            continue 'row;
-                        }
-                    }
-                }
-                None => {
-                    for conj in &residual {
-                        if !eval_filter(conj, &row, &scope, &ctx)? {
-                            continue 'row;
-                        }
-                    }
+            for prog in &progs {
+                if !prog.eval_filter(&row, &ctx)? {
+                    continue 'row;
                 }
             }
             kept.push(row);
@@ -1422,9 +1278,9 @@ fn execute_select_impl(
     let agg_in = rows.len();
     let t0 = prof_clock(&bp);
     let projected = if agg {
-        execute_grouped(select, order_by, &scope, rows, &ctx, opts, agg_op)?
+        execute_grouped(select, order_by, &scope, rows, &ctx, agg_op)?
     } else {
-        execute_plain(select, order_by, &scope, rows, &ctx, opts)?
+        execute_plain(select, order_by, &scope, rows, &ctx)?
     };
     if let Some(op) = agg_op {
         op.rows(agg_in as u64, projected.1.len() as u64);
@@ -1605,7 +1461,6 @@ fn execute_plain(
     scope: &Scope,
     rows: Vec<ExecRow>,
     ctx: &EvalContext,
-    opts: ExecOptions,
 ) -> Result<Projected> {
     let mut columns = Vec::new();
     for item in &select.projections {
@@ -1624,83 +1479,34 @@ fn execute_plain(
     }
     let mut out_rows = Vec::with_capacity(rows.len());
     let mut keys = Vec::with_capacity(rows.len());
-    if opts.compiled {
-        let projs: Vec<ProjProg> = select
-            .projections
-            .iter()
-            .map(|item| match item {
-                SelectItem::Wildcard => ProjProg::Wildcard,
-                SelectItem::Expr { expr, .. } => ProjProg::Expr(compile(expr, scope, ctx)),
-            })
-            .collect();
-        let order_progs: Vec<OrderProg> = order_by
-            .iter()
-            .map(|item| compile_order_key(&item.expr, scope, ctx, select))
-            .collect();
-        for row in &rows {
-            let mut out = Vec::with_capacity(columns.len());
-            for proj in &projs {
-                match proj {
-                    ProjProg::Wildcard => out.extend(row.iter().cloned()),
-                    ProjProg::Expr(prog) => out.push(prog.eval(row, ctx)?.into_value()),
-                }
+    let projs: Vec<ProjProg> = select
+        .projections
+        .iter()
+        .map(|item| match item {
+            SelectItem::Wildcard => ProjProg::Wildcard,
+            SelectItem::Expr { expr, .. } => ProjProg::Expr(compile(expr, scope, ctx)),
+        })
+        .collect();
+    let order_progs: Vec<OrderProg> = order_by
+        .iter()
+        .map(|item| compile_order_key(&item.expr, scope, ctx, select))
+        .collect();
+    for row in &rows {
+        let mut out = Vec::with_capacity(columns.len());
+        for proj in &projs {
+            match proj {
+                ProjProg::Wildcard => out.extend(row.iter().cloned()),
+                ProjProg::Expr(prog) => out.push(prog.eval(row, ctx)?.into_value()),
             }
-            let mut key = Vec::with_capacity(order_by.len());
-            for prog in &order_progs {
-                key.push(prog.eval(row, &out, ctx)?);
-            }
-            out_rows.push(out);
-            keys.push(key);
         }
-    } else {
-        for row in &rows {
-            let mut out = Vec::with_capacity(columns.len());
-            for item in &select.projections {
-                match item {
-                    SelectItem::Wildcard => out.extend(row.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => out.push(eval(expr, row, scope, ctx)?),
-                }
-            }
-            let mut key = Vec::with_capacity(order_by.len());
-            for item in order_by {
-                key.push(eval_order_key(&item.expr, row, scope, ctx, select, &out)?);
-            }
-            out_rows.push(out);
-            keys.push(key);
+        let mut key = Vec::with_capacity(order_by.len());
+        for prog in &order_progs {
+            key.push(prog.eval(row, &out, ctx)?);
         }
+        out_rows.push(out);
+        keys.push(key);
     }
     Ok((columns, out_rows, keys))
-}
-
-/// Evaluate an ORDER BY key: prefer in-scope evaluation; fall back to a
-/// projection alias or output-column name.
-fn eval_order_key(
-    expr: &Expr,
-    row: &[Value],
-    scope: &Scope,
-    ctx: &EvalContext,
-    select: &Select,
-    projected: &[Value],
-) -> Result<Value> {
-    match eval(expr, row, scope, ctx) {
-        Ok(v) => Ok(v),
-        Err(EngineError::UnknownColumn(_)) => {
-            // Maybe it names a projection alias.
-            if let Expr::Column(c) = expr {
-                if c.table.is_none() {
-                    for (i, item) in select.projections.iter().enumerate() {
-                        if let SelectItem::Expr { alias: Some(a), .. } = item {
-                            if a.eq_ignore_ascii_case(&c.column) {
-                                return Ok(projected[i].clone());
-                            }
-                        }
-                    }
-                }
-            }
-            Err(EngineError::UnknownColumn(expr.to_string()))
-        }
-        Err(e) => Err(e),
-    }
 }
 
 /// Aggregate path: group, filter with HAVING, project per group.
@@ -1710,7 +1516,6 @@ fn execute_grouped(
     scope: &Scope,
     rows: Vec<ExecRow>,
     ctx: &EvalContext,
-    opts: ExecOptions,
     agg_op: Option<&OpStats>,
 ) -> Result<Projected> {
     // Group rows by evaluated GROUP BY key — hashed `Vec<Value>` keys
@@ -1720,65 +1525,38 @@ fn execute_grouped(
         // Single implicit group — even over zero rows (COUNT(*) = 0).
         groups.push(rows);
     } else {
-        let gprogs: Option<Vec<CExpr>> = opts.compiled.then(|| {
-            select
-                .group_by
-                .iter()
-                .map(|ge| compile(ge, scope, ctx))
-                .collect()
-        });
+        let progs: Vec<CExpr> = select
+            .group_by
+            .iter()
+            .map(|ge| compile(ge, scope, ctx))
+            .collect();
         let mut index = KeyIndex::default();
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
-        match &gprogs {
-            Some(progs) => {
-                // Hash and compare the key cells as borrows straight out
-                // of the row; an owned key is cloned only when the group
-                // is new. Re-evaluating a program for the equality (and
-                // new-group) probes is sound because compiled evaluation
-                // is deterministic — the hash pass already surfaced any
-                // error this row can raise.
-                for row in rows {
-                    let mut hasher = key::FxHasher::default();
-                    for prog in progs {
-                        prog.eval(&row, ctx)?.hash_key(&mut hasher);
-                    }
-                    let h = hasher.finish();
-                    match index.insert(h, groups.len() as u32, |t| {
-                        group_keys[t as usize]
-                            .iter()
-                            .zip(progs)
-                            .all(|(k, p)| p.eval(&row, ctx).is_ok_and(|cv| cv.key_eq(k)))
-                    }) {
-                        Some(slot) => groups[slot as usize].push(row),
-                        None => {
-                            let mut gkey = Vec::with_capacity(progs.len());
-                            for prog in progs {
-                                gkey.push(prog.eval(&row, ctx)?.into_value());
-                            }
-                            group_keys.push(gkey);
-                            groups.push(vec![row]);
-                        }
-                    }
-                }
+        // Hash and compare the key cells as borrows straight out of the
+        // row; an owned key is cloned only when the group is new.
+        // Re-evaluating a program for the equality (and new-group)
+        // probes is sound because compiled evaluation is deterministic —
+        // the hash pass already surfaced any error this row can raise.
+        for row in rows {
+            let mut hasher = key::FxHasher::default();
+            for prog in &progs {
+                prog.eval(&row, ctx)?.hash_key(&mut hasher);
             }
-            None => {
-                let mut key_buf: Vec<Value> = Vec::with_capacity(select.group_by.len());
-                for row in rows {
-                    key_buf.clear();
-                    for ge in &select.group_by {
-                        key_buf.push(eval(ge, &row, scope, ctx)?);
+            let h = hasher.finish();
+            match index.insert(h, groups.len() as u32, |t| {
+                group_keys[t as usize]
+                    .iter()
+                    .zip(&progs)
+                    .all(|(k, p)| p.eval(&row, ctx).is_ok_and(|cv| cv.key_eq(k)))
+            }) {
+                Some(slot) => groups[slot as usize].push(row),
+                None => {
+                    let mut gkey = Vec::with_capacity(progs.len());
+                    for prog in &progs {
+                        gkey.push(prog.eval(&row, ctx)?.into_value());
                     }
-                    let h = key::hash_values(&key_buf);
-                    match index.insert(h, groups.len() as u32, |t| {
-                        key::values_key_eq(&group_keys[t as usize], &key_buf)
-                    }) {
-                        Some(slot) => groups[slot as usize].push(row),
-                        None => {
-                            group_keys.push(std::mem::take(&mut key_buf));
-                            key_buf = Vec::with_capacity(select.group_by.len());
-                            groups.push(vec![row]);
-                        }
-                    }
+                    group_keys.push(gkey);
+                    groups.push(vec![row]);
                 }
             }
         }
@@ -1803,157 +1581,46 @@ fn execute_grouped(
         }
     }
 
+    let having: Option<GExpr> = select
+        .having
+        .as_ref()
+        .map(|h| compile_grouped(h, scope, ctx));
+    let projs: Vec<GExpr> = select
+        .projections
+        .iter()
+        .filter_map(|item| match item {
+            SelectItem::Wildcard => None,
+            SelectItem::Expr { expr, .. } => Some(compile_grouped(expr, scope, ctx)),
+        })
+        .collect();
+    let order_progs: Vec<GExpr> = order_by
+        .iter()
+        .map(|item| compile_grouped(&item.expr, scope, ctx))
+        .collect();
     let mut out_rows = Vec::new();
     let mut keys = Vec::new();
-    if opts.compiled {
-        let having: Option<GExpr> = select
-            .having
-            .as_ref()
-            .map(|h| compile_grouped(h, scope, ctx));
-        let projs: Vec<GExpr> = select
-            .projections
-            .iter()
-            .filter_map(|item| match item {
-                SelectItem::Wildcard => None,
-                SelectItem::Expr { expr, .. } => Some(compile_grouped(expr, scope, ctx)),
-            })
-            .collect();
-        let order_progs: Vec<GExpr> = order_by
-            .iter()
-            .map(|item| compile_grouped(&item.expr, scope, ctx))
-            .collect();
-        for group in &groups {
-            if let Some(h) = &having {
-                if !truth(h.eval(group, ctx)?)?.unwrap_or(false) {
-                    continue;
-                }
+    for group in &groups {
+        if let Some(h) = &having {
+            if !truth_ref(&h.eval(group, ctx)?)?.unwrap_or(false) {
+                continue;
             }
-            let mut out = Vec::with_capacity(columns.len());
-            for prog in &projs {
-                out.push(prog.eval(group, ctx)?);
-            }
-            let mut key = Vec::with_capacity(order_by.len());
-            for prog in &order_progs {
-                key.push(prog.eval(group, ctx)?);
-            }
-            out_rows.push(out);
-            keys.push(key);
         }
-    } else {
-        for group in &groups {
-            if let Some(h) = &select.having {
-                let v = eval_grouped(h, group, scope, ctx)?;
-                if !truth(v)?.unwrap_or(false) {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(columns.len());
-            for item in &select.projections {
-                if let SelectItem::Expr { expr, .. } = item {
-                    out.push(eval_grouped(expr, group, scope, ctx)?);
-                }
-            }
-            let mut key = Vec::with_capacity(order_by.len());
-            for item in order_by {
-                key.push(eval_grouped(&item.expr, group, scope, ctx)?);
-            }
-            out_rows.push(out);
-            keys.push(key);
+        let mut out = Vec::with_capacity(columns.len());
+        for prog in &projs {
+            out.push(prog.eval(group, ctx)?);
         }
+        let mut key = Vec::with_capacity(order_by.len());
+        for prog in &order_progs {
+            key.push(prog.eval(group, ctx)?);
+        }
+        out_rows.push(out);
+        keys.push(key);
     }
     Ok((columns, out_rows, keys))
 }
 
-/// Evaluate an expression in group context: aggregate nodes consume the
-/// whole group; everything else is evaluated on the group's first row
-/// (valid for GROUP BY keys, which are constant within a group).
-fn eval_grouped(expr: &Expr, group: &[ExecRow], scope: &Scope, ctx: &EvalContext) -> Result<Value> {
-    match expr {
-        Expr::Agg {
-            func,
-            distinct,
-            arg,
-        } => eval_aggregate(*func, *distinct, arg, group, scope, ctx),
-        Expr::Binary { left, op, right } => {
-            let l = eval_grouped(left, group, scope, ctx)?;
-            let r = eval_grouped(right, group, scope, ctx)?;
-            // Reuse scalar machinery by treating computed values as
-            // literals.
-            let le = value_to_literal_expr(l);
-            let re = value_to_literal_expr(r);
-            let combined = Expr::Binary {
-                left: Box::new(le),
-                op: *op,
-                right: Box::new(re),
-            };
-            eval(&combined, &[], &Scope::default(), ctx)
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_grouped(expr, group, scope, ctx)?;
-            let inner = value_to_literal_expr(v);
-            eval(
-                &Expr::Unary {
-                    op: *op,
-                    expr: Box::new(inner),
-                },
-                &[],
-                &Scope::default(),
-                ctx,
-            )
-        }
-        other => match group.first() {
-            Some(row) => eval(other, row, scope, ctx),
-            // Empty implicit group: non-aggregate expressions are NULL.
-            None => Ok(Value::Null),
-        },
-    }
-}
-
-fn value_to_literal_expr(v: Value) -> Expr {
-    use sb_sql::Literal;
-    Expr::Literal(match v {
-        Value::Null => Literal::Null,
-        Value::Int(i) => Literal::Int(i),
-        Value::Float(f) => Literal::Float(f),
-        Value::Text(s) => Literal::Str(s),
-        Value::Bool(b) => Literal::Bool(b),
-    })
-}
-
-fn eval_aggregate(
-    func: AggFunc,
-    distinct: bool,
-    arg: &AggArg,
-    group: &[ExecRow],
-    scope: &Scope,
-    ctx: &EvalContext,
-) -> Result<Value> {
-    // COUNT(*) counts rows including NULLs.
-    if matches!((func, arg), (AggFunc::Count, AggArg::Star)) {
-        return Ok(Value::Int(group.len() as i64));
-    }
-    let AggArg::Expr(e) = arg else {
-        return Err(EngineError::Unsupported(format!(
-            "{}(*) is only valid for COUNT",
-            func.as_str()
-        )));
-    };
-    let mut values = Vec::with_capacity(group.len());
-    for row in group {
-        let v = eval(e, row, scope, ctx)?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-    if distinct {
-        key::dedup_values(&mut values);
-    }
-    finish_aggregate(func, values)
-}
-
 /// Reduce the non-NULL (and, for DISTINCT, deduped) argument values of
-/// an aggregate call. Shared by the interpreter and the compiled
-/// evaluator.
+/// an aggregate call (see `compile::GExpr`).
 pub(crate) fn finish_aggregate(func: AggFunc, values: Vec<Value>) -> Result<Value> {
     match func {
         AggFunc::Count => Ok(Value::Int(values.len() as i64)),
@@ -2440,67 +2107,39 @@ mod tests {
          GROUP BY class) AS g WHERE g.n >= 2",
     ];
 
+    /// The row pipeline, the serial batch engine and the morsel-parallel
+    /// batch engine (tiny morsels, forced fan-out).
+    fn exec_configs() -> [ExecOptions; 3] {
+        [
+            ExecOptions {
+                columnar: false,
+                parallel: false,
+                ..ExecOptions::default()
+            },
+            ExecOptions {
+                parallel: false,
+                ..ExecOptions::default()
+            },
+            ExecOptions {
+                workers: 3,
+                morsel_rows: 2,
+                ..ExecOptions::default()
+            },
+        ]
+    }
+
     #[test]
     fn all_strategies_agree_on_rows_and_order() {
         let db = galaxy_db();
-        let variants = [
-            ExecOptions::default(),
-            ExecOptions::legacy(),
-            ExecOptions {
-                join: JoinStrategy::NestedLoop,
-                ..Default::default()
-            },
-            ExecOptions {
-                predicate_pushdown: false,
-                ..Default::default()
-            },
-            ExecOptions {
-                join: JoinStrategy::BuildRight,
-                ..Default::default()
-            },
-            ExecOptions {
-                compiled: false,
-                ..Default::default()
-            },
-            ExecOptions {
-                compiled: false,
-                join: JoinStrategy::NestedLoop,
-                ..Default::default()
-            },
-            ExecOptions {
-                compiled: true,
-                ..ExecOptions::legacy()
-            },
-            // The columnar batch engine must be invisible: same rows in
-            // the same order whether it runs, falls back, or is off.
-            ExecOptions {
-                columnar: false,
-                ..Default::default()
-            },
-            ExecOptions {
-                columnar: false,
-                predicate_pushdown: false,
-                ..Default::default()
-            },
-            ExecOptions {
-                columnar: false,
-                compiled: false,
-                join: JoinStrategy::BuildRight,
-                ..Default::default()
-            },
-            ExecOptions {
-                columnar: true,
-                ..ExecOptions::legacy()
-            },
-        ];
         for sql in STRATEGY_CASES {
-            let baseline = db.run_with(sql, variants[0]).unwrap();
-            for opts in &variants[1..] {
-                let got = db.run_with(sql, *opts).unwrap();
+            let q = sb_sql::parse(sql).unwrap();
+            let reference = crate::reference::execute_reference(&db, &q).unwrap();
+            for opts in exec_configs() {
+                let got = db.run_with(sql, opts).unwrap();
                 // Strict equality: same rows in the same order, not just
                 // multiset equivalence.
                 assert_eq!(
-                    baseline.rows, got.rows,
+                    reference.rows, got.rows,
                     "options {opts:?} changed the result of: {sql}"
                 );
             }
@@ -2532,17 +2171,19 @@ mod tests {
         let mut dup = Database::new(schema_dup);
         dup.table_mut("a").unwrap().push_rows(vec![vec![1.into()]]);
         dup.table_mut("b").unwrap().push_rows(vec![vec![1.into()]]);
-        // `id` is ambiguous across a and b: must error with and without
-        // pushdown, not silently bind to one side.
-        for opts in [ExecOptions::default(), ExecOptions::legacy()] {
+        // `id` is ambiguous across a and b: pushdown must leave it in the
+        // residual filter to error, not silently bind it to one side.
+        let sql = "SELECT a.id FROM a JOIN b ON a.id = b.id WHERE id = 1";
+        for opts in exec_configs() {
             assert!(matches!(
-                dup.run_with(
-                    "SELECT a.id FROM a JOIN b ON a.id = b.id WHERE id = 1",
-                    opts
-                ),
+                dup.run_with(sql, opts),
                 Err(EngineError::AmbiguousColumn(_))
             ));
         }
+        assert!(matches!(
+            crate::reference::execute_reference(&dup, &sb_sql::parse(sql).unwrap()),
+            Err(EngineError::AmbiguousColumn(_))
+        ));
         // Sanity: unambiguous qualified pushdown still works.
         let r = db
             .run(
@@ -2555,27 +2196,35 @@ mod tests {
 
     #[test]
     fn build_side_selection_matches_input_sizes() {
-        // Left (5 rows) larger than right (3): Auto builds on the right;
-        // flip the join order and it builds on the left. Either way the
-        // results must agree with the nested loop.
+        // Left (5 rows) larger than right (3): the planner builds on the
+        // right; flip the join order and it builds on the left. Either
+        // way the rows and their order must match the reference's
+        // nested loop.
         let db = galaxy_db();
-        for sql in [
-            "SELECT s.specobjid, p.objid FROM specobj AS s \
-             JOIN photoobj AS p ON s.bestobjid = p.objid",
-            "SELECT s.specobjid, p.objid FROM photoobj AS p \
-             JOIN specobj AS s ON s.bestobjid = p.objid",
+        for (sql, build_left) in [
+            (
+                "SELECT s.specobjid, p.objid FROM specobj AS s \
+                 JOIN photoobj AS p ON s.bestobjid = p.objid",
+                false,
+            ),
+            (
+                "SELECT s.specobjid, p.objid FROM photoobj AS p \
+                 JOIN specobj AS s ON s.bestobjid = p.objid",
+                true,
+            ),
         ] {
-            let auto = db.run_with(sql, ExecOptions::default()).unwrap();
-            let nested = db
-                .run_with(
-                    sql,
-                    ExecOptions {
-                        join: JoinStrategy::NestedLoop,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(auto.rows, nested.rows, "strategy mismatch for: {sql}");
+            let q = sb_sql::parse(sql).unwrap();
+            let plan = plan_top_select(&db, &q, ExecOptions::default()).unwrap();
+            let SetExpr::Select(select) = &q.body else {
+                panic!("select expected")
+            };
+            let planned = plan.reify(select).unwrap();
+            assert_eq!(planned.steps[0].build_left, build_left, "{sql}");
+            let reference = crate::reference::execute_reference(&db, &q).unwrap();
+            for opts in exec_configs() {
+                let got = db.run_with(sql, opts).unwrap();
+                assert_eq!(got.rows, reference.rows, "{opts:?} mismatch for: {sql}");
+            }
         }
     }
 

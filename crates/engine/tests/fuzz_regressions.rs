@@ -5,7 +5,7 @@
 //! test; replay with e.g.
 //! `cargo run --release -p sb-fuzz --bin fuzz -- --domain sdss --seed 23893`.
 
-use sb_engine::{execute_reference, Database, EngineError, ExecOptions, JoinStrategy, Value};
+use sb_engine::{execute_reference, Database, EngineError, ExecOptions, ResultSet, Value};
 use sb_schema::{Column, ColumnType, Schema, TableDef};
 
 /// SDSS-shaped fixture: `specobj` and `galspecline` share the column
@@ -54,35 +54,34 @@ fn db() -> Database {
     db
 }
 
-/// Every point of the executor's configuration matrix.
+/// The executor configurations the fuzz oracle runs (sb-engine cannot
+/// dev-depend on sb-fuzz, so this repeats `sb_fuzz::exec_matrix`): the
+/// row pipeline, the serial batch engine, and the morsel-parallel batch
+/// engine with forced fan-out.
 fn matrix() -> Vec<ExecOptions> {
-    let mut out = Vec::new();
-    for join in [
-        JoinStrategy::Auto,
-        JoinStrategy::BuildRight,
-        JoinStrategy::NestedLoop,
-    ] {
-        for predicate_pushdown in [false, true] {
-            for copy_scans in [false, true] {
-                for compiled in [false, true] {
-                    for optimize in [false, true] {
-                        for columnar in [false, true] {
-                            out.push(ExecOptions {
-                                predicate_pushdown,
-                                join,
-                                copy_scans,
-                                compiled,
-                                optimize,
-                                columnar,
-                                ..ExecOptions::default()
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    let base = ExecOptions::default();
+    vec![
+        ExecOptions {
+            columnar: false,
+            parallel: false,
+            ..base
+        },
+        ExecOptions {
+            parallel: false,
+            ..base
+        },
+        ExecOptions {
+            workers: 3,
+            morsel_rows: 2,
+            ..base
+        },
+    ]
+}
+
+/// The reference interpreter's result for `sql`: the baseline every
+/// configuration must reproduce row for row.
+fn reference(db: &Database, sql: &str) -> ResultSet {
+    execute_reference(db, &sb_sql::parse(sql).unwrap()).unwrap()
 }
 
 /// Found on sdss, seed 23893: `ON specobjid = T2.specobjid` with
@@ -109,13 +108,13 @@ fn bare_on_column_ambiguous_across_sides_errors_under_every_strategy() {
 
 /// The flip side: a bare ON column whose name exists in exactly one
 /// side is legal, and the hash path must still fire rows identical to
-/// the nested loop's.
+/// the reference's nested loop.
 #[test]
 fn bare_on_column_unique_to_one_side_joins_identically() {
     let db = db();
     let sql = "SELECT T1.specobjid, T2.u FROM specobj AS T1 \
                JOIN photoobj AS T2 ON bestobjid = T2.objid";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(baseline.rows.len(), 1); // only bestobjid=10 matches
     for opts in matrix() {
         assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
@@ -204,7 +203,7 @@ fn null_join_keys_never_match_under_any_strategy() {
     // must not pair with any photoobj row — including another NULL key.
     let sql = "SELECT T1.specobjid, T2.objid FROM specobj AS T1 \
                JOIN photoobj AS T2 ON T1.bestobjid = T2.objid";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     let ids: Vec<_> = baseline.rows.iter().map(|r| r[0].clone()).collect();
     assert_eq!(ids, vec![Value::Int(1)]);
     for opts in matrix() {
@@ -219,7 +218,7 @@ fn left_join_null_extension_agrees_between_hash_and_nested_loop() {
     let sql = "SELECT T1.specobjid, T2.objid, T2.u FROM specobj AS T1 \
                LEFT JOIN photoobj AS T2 ON T1.bestobjid = T2.objid \
                ORDER BY T1.specobjid";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(
         baseline.rows,
         vec![
@@ -232,9 +231,6 @@ fn left_join_null_extension_agrees_between_hash_and_nested_loop() {
     for opts in matrix() {
         assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
     }
-    // And the reference interpreter sees the same table.
-    let q = sb_sql::parse(sql).unwrap();
-    assert_eq!(execute_reference(&db, &q).unwrap().rows, baseline.rows);
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +274,7 @@ fn bigint_db() -> Database {
 fn int_comparisons_beyond_2_pow_53_stay_exact() {
     let db = bigint_db();
     let sql = "SELECT id FROM big WHERE v > 9007199254740992 ORDER BY id";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(baseline.rows, vec![vec![Value::Int(1)]]);
     for opts in matrix() {
         assert_eq!(
@@ -287,8 +283,6 @@ fn int_comparisons_beyond_2_pow_53_stay_exact() {
             "{opts:?}"
         );
     }
-    let q = sb_sql::parse(sql).unwrap();
-    assert_eq!(execute_reference(&db, &q).unwrap().rows, baseline.rows);
 
     // ORDER BY must rank 2^53 + 1 strictly above 2^53.
     let sql = "SELECT v FROM big ORDER BY v DESC";
@@ -319,7 +313,7 @@ fn grouping_and_joins_distinguish_adjacent_huge_ints() {
     assert_eq!(execute_reference(&db, &q).unwrap().rows.len(), 3);
 
     let sql = "SELECT T1.id FROM big AS T1 JOIN keys AS T2 ON T1.v = T2.f";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(
         baseline.rows,
         vec![vec![Value::Int(2)]],
@@ -332,8 +326,6 @@ fn grouping_and_joins_distinguish_adjacent_huge_ints() {
             "{opts:?}"
         );
     }
-    let q = sb_sql::parse(sql).unwrap();
-    assert_eq!(execute_reference(&db, &q).unwrap().rows, baseline.rows);
 }
 
 // ---------------------------------------------------------------------

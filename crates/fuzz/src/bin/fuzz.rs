@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Runs `count` generated queries per selected domain (all three when
-//! `--domain` is omitted) through the parse↔print↔parse check and the
-//! full executor-configuration matrix against the reference
-//! interpreter. Failures print the seed, the original SQL and a shrunk
+//! `--domain` is omitted) through the parse↔print↔parse check and every
+//! executor configuration of `sb_fuzz::exec_matrix` (fresh and cached
+//! plan) against the reference interpreter. Failures print the seed, the original SQL and a shrunk
 //! reproducer; the exit code is the total failure count (0 = clean).
 
 use sb_data::Domain;

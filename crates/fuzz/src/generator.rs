@@ -16,7 +16,8 @@
 //! subqueries for extra hard.
 //!
 //! The generator deliberately keeps a few sharp edges in its output
-//! distribution — unqualified `ON` columns (ambiguity handling) and
+//! distribution — unqualified `ON` columns (ambiguity handling),
+//! non-equi and compound `ON` constraints (the nested-loop join) and
 //! occasional out-of-range `ORDER BY` ordinals after set operations
 //! (bounds handling) — because those are exactly the places where the
 //! optimized executor historically diverged from the reference
@@ -334,28 +335,59 @@ impl<'a> QueryGenerator<'a> {
             } else {
                 (rref, lref)
             };
+            // Mostly FK equalities, which hash-join. At a low rate the
+            // same columns compare with an inequality, or the equality
+            // carries a filter on the joined relation: neither is an
+            // equi-join, so both run as nested loops on the row path.
+            let constraint = match self.rng.gen_range(0..25u8) {
+                0 | 1 => {
+                    let op = *[
+                        BinaryOp::Lt,
+                        BinaryOp::LtEq,
+                        BinaryOp::Gt,
+                        BinaryOp::GtEq,
+                        BinaryOp::NotEq,
+                    ]
+                    .choose(&mut self.rng)
+                    .unwrap();
+                    Expr::binary(a, op, b)
+                }
+                2 | 3 => {
+                    let joined = self.bound_cols(&ralias, &rtable);
+                    let filter = self.leaf_predicate(&joined);
+                    Expr::binary(Expr::binary(a, BinaryOp::Eq, b), BinaryOp::And, filter)
+                }
+                _ => Expr::binary(a, BinaryOp::Eq, b),
+            };
             joins.push(Join {
                 table: TableRef::aliased(&rtable, &ralias),
-                constraint: Some(Expr::binary(a, BinaryOp::Eq, b)),
+                constraint: Some(constraint),
                 left: self.rng.gen_bool(0.25),
             });
             tables.push((ralias, rtable));
         }
         let from = TableRef::aliased(&t0.name, "T1");
-        let mut bound = Vec::new();
-        for (alias, tname) in &tables {
-            let def = schema.table(tname).expect("bound table exists");
-            for (idx, c) in def.columns.iter().enumerate() {
-                bound.push(BoundCol {
-                    alias: alias.clone(),
-                    name: c.name.clone(),
-                    ty: c.ty,
-                    table: tname.clone(),
-                    idx,
-                });
-            }
-        }
+        let bound = tables
+            .iter()
+            .flat_map(|(alias, tname)| self.bound_cols(alias, tname))
+            .collect();
         (from, joins, bound)
+    }
+
+    /// The columns of base table `tname` bound under `alias`.
+    fn bound_cols(&self, alias: &str, tname: &str) -> Vec<BoundCol> {
+        let def = self.db.schema.table(tname).expect("bound table exists");
+        def.columns
+            .iter()
+            .enumerate()
+            .map(|(idx, c)| BoundCol {
+                alias: alias.to_string(),
+                name: c.name.clone(),
+                ty: c.ty,
+                table: tname.to_string(),
+                idx,
+            })
+            .collect()
     }
 
     // -----------------------------------------------------------------

@@ -13,7 +13,8 @@
 //!   sampled from real column values, grouping, set operations,
 //!   subqueries).
 //! - [`oracle`] — the differential check: parse↔print↔parse round trip,
-//!   then reference vs. the full `ExecOptions` matrix.
+//!   then reference vs. the engine's row, columnar and columnar-parallel
+//!   configurations, each freshly planned and from a cached plan.
 //! - [`shrink`] — greedy AST minimization of failing queries.
 //! - [`run_fuzz`] — a bounded campaign over one domain; failures come
 //!   back with the seed, the original SQL and a shrunk reproducer.

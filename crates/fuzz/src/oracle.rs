@@ -6,11 +6,11 @@
 //! 1. checks the printer/parser round trip (`parse(print(ast)) == ast`),
 //! 2. runs the naive reference interpreter to obtain the expected
 //!    outcome, and
-//! 3. runs the optimized executor under the full [`ExecOptions`] matrix
-//!    (join strategy × predicate pushdown × scan copying × compiled vs
-//!    interpreted expressions × cost-based planner on/off × columnar
-//!    batch engine on/off) and demands that every configuration agrees
-//!    with the reference, and
+//! 3. runs the executor under every configuration of [`exec_matrix`]
+//!    (the row pipeline, the serial batch engine, the morsel-parallel
+//!    batch engine), each both with fresh planning and with a plan
+//!    captured by [`plan_top_select`] — sb-serve's prepared-statement
+//!    path — and demands that every run agrees with the reference, and
 //! 4. runs the validity-check entry ([`Database::check_query`]), which
 //!    must return exactly what a full [`execute`] returns: `Ok` for a
 //!    result, and for an error the same error text.
@@ -18,16 +18,17 @@
 //! Agreement is Spider execution-match (`ResultSet::same_result`:
 //! multiset of rows, ordered-list comparison when both sides carry an
 //! `ORDER BY`). Errors count as agreeing with errors of *any* kind —
-//! predicate pushdown and join-strategy choices legitimately change
-//! which of several latent errors surfaces first — but an error never
+//! the reference's evaluation order (no pushdown, nested loops only)
+//! legitimately surfaces a different one of several latent errors than
+//! the planned executor — but an error never
 //! agrees with a result, and a panic in any configuration is always a
 //! failure.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sb_engine::{
-    execute, execute_reference, execute_with, Database, EngineError, ExecOptions, JoinStrategy,
-    ResultSet,
+    execute, execute_reference, execute_with, execute_with_plan, plan_top_select, Database,
+    EngineError, ExecOptions, ResultSet,
 };
 use sb_sql::Query;
 
@@ -89,77 +90,42 @@ impl std::fmt::Display for Disagreement {
 /// degenerating to the single-morsel serial case.
 const PARALLEL_MORSEL_ROWS: usize = 7;
 
-/// The full executor configuration matrix: every join strategy crossed
-/// with pushdown on/off, copying vs zero-copy scans, compiled vs
-/// interpreted expression evaluation, the cost-based planner on/off,
-/// the columnar batch engine on/off, and morsel-parallel execution
-/// on/off — nominally 192 configurations. The `optimize` axis is what
-/// differentially verifies every planner rewrite (join reordering,
-/// projection pruning, planned build sides) against the plan-free
-/// legacy path and the reference interpreter; the `columnar` axis does
-/// the same for every vectorized kernel and its row-path fallback
-/// boundary; the `parallel` axis does the same for every per-morsel
-/// kernel and its deterministic merge.
-///
-/// The parallel axis is sampled down to keep campaign runtime bounded:
-/// `parallel` without `columnar` is dropped (the row path has no
-/// parallel kernels — those 48 configurations execute byte-for-byte
-/// the same code as their serial twins), leaving 144 configurations
-/// that each cover distinct machine code.
+/// The executor configurations the oracle runs: the compiled row
+/// pipeline (`columnar` off — also what every subquery and every batch
+/// bail runs on), the serial columnar batch engine, and the
+/// morsel-parallel batch engine with forced fan-out. Planning is not an
+/// axis: every configuration plans every `SELECT`, and
+/// [`check_query`] runs each one both freshly planned and from a cached
+/// plan.
 pub fn exec_matrix() -> Vec<(String, ExecOptions)> {
-    let mut out = Vec::new();
-    for join in [
-        JoinStrategy::Auto,
-        JoinStrategy::BuildRight,
-        JoinStrategy::NestedLoop,
-    ] {
-        for pushdown in [false, true] {
-            for copy in [false, true] {
-                for compiled in [false, true] {
-                    for optimize in [false, true] {
-                        for columnar in [false, true] {
-                            for parallel in [false, true] {
-                                if parallel && !columnar {
-                                    continue;
-                                }
-                                let name = format!(
-                                    "{join:?}{}{}{}{}{}{}",
-                                    if pushdown { "+pushdown" } else { "" },
-                                    if copy { "+copy" } else { "" },
-                                    if compiled { "+compiled" } else { "" },
-                                    if optimize { "+opt" } else { "" },
-                                    if columnar { "+columnar" } else { "" },
-                                    if parallel { "+parallel" } else { "" }
-                                );
-                                out.push((
-                                    name,
-                                    ExecOptions {
-                                        predicate_pushdown: pushdown,
-                                        join,
-                                        copy_scans: copy,
-                                        compiled,
-                                        optimize,
-                                        columnar,
-                                        parallel,
-                                        // Force real fan-out even on a
-                                        // single-core host: three
-                                        // workers over four morsels.
-                                        workers: if parallel { 3 } else { 0 },
-                                        morsel_rows: if parallel {
-                                            PARALLEL_MORSEL_ROWS
-                                        } else {
-                                            0
-                                        },
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    let base = ExecOptions::default();
+    vec![
+        (
+            "row".to_string(),
+            ExecOptions {
+                columnar: false,
+                parallel: false,
+                ..base
+            },
+        ),
+        (
+            "columnar".to_string(),
+            ExecOptions {
+                parallel: false,
+                ..base
+            },
+        ),
+        (
+            "columnar+parallel".to_string(),
+            ExecOptions {
+                // Force real fan-out even on a single-core host: three
+                // workers over four morsels.
+                workers: 3,
+                morsel_rows: PARALLEL_MORSEL_ROWS,
+                ..base
+            },
+        ),
+    ]
 }
 
 fn run_caught(f: impl FnOnce() -> Result<ResultSet, EngineError>) -> Outcome {
@@ -188,8 +154,8 @@ fn agree(reference: &Outcome, executor: &Outcome) -> bool {
 }
 
 /// Run `query` through the round-trip check, the reference interpreter,
-/// the full configuration matrix and the validity-check entry. `Ok(())`
-/// means total agreement.
+/// every configuration of [`exec_matrix`] (fresh and cached plan) and
+/// the validity-check entry. `Ok(())` means total agreement.
 pub fn check_query(db: &Database, query: &Query) -> Result<(), Disagreement> {
     let sql = query.to_string();
     match sb_sql::parse(&sql) {
@@ -215,14 +181,20 @@ pub fn check_query(db: &Database, query: &Query) -> Result<(), Disagreement> {
         });
     }
     for (name, opts) in exec_matrix() {
-        let got = run_caught(|| execute_with(db, query, opts));
-        if !agree(&reference, &got) {
-            sb_obs::count("fuzz.oracle.config_mismatches", 1);
-            return Err(Disagreement::Mismatch {
-                config: name,
-                reference: reference.label(),
-                executor: got.label(),
-            });
+        let fresh = run_caught(|| execute_with(db, query, opts));
+        let cached = run_caught(|| {
+            let plan = plan_top_select(db, query, opts);
+            execute_with_plan(db, query, opts, plan.as_ref())
+        });
+        for (leg, got) in [("", fresh), ("+cached-plan", cached)] {
+            if !agree(&reference, &got) {
+                sb_obs::count("fuzz.oracle.config_mismatches", 1);
+                return Err(Disagreement::Mismatch {
+                    config: format!("{name}{leg}"),
+                    reference: reference.label(),
+                    executor: got.label(),
+                });
+            }
         }
     }
 

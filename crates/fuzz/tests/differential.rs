@@ -2,8 +2,8 @@
 //!
 //! Each domain gets `SB_FUZZ_COUNT` queries (default 2,000) from a
 //! fixed base seed; every query is round-tripped through the printer
-//! and parser and executed under the full `ExecOptions` matrix against
-//! the reference interpreter. Any disagreement fails the test and
+//! and parser and executed under every configuration of `exec_matrix`
+//! (fresh and cached plan) against the reference interpreter. Any disagreement fails the test and
 //! prints seed + original + shrunk reproducer, ready to paste into a
 //! regression test.
 //!
@@ -72,6 +72,38 @@ fn generator_reaches_every_hardness_bucket() {
             seen,
             [true; 4],
             "{}: some hardness bucket unreachable in 500 queries",
+            domain.name()
+        );
+    }
+}
+
+/// The generator must keep emitting joins that run as nested loops —
+/// inequality ONs and equality-plus-filter ONs — or the row engine's
+/// nested-loop join drops out from under the oracle.
+#[test]
+fn generator_emits_non_equi_and_compound_joins() {
+    use sb_sql::{BinaryOp, Expr, SetExpr};
+    for domain in Domain::ALL {
+        let db = fuzz_database(domain);
+        let mut gen = QueryGenerator::new(&db, 7);
+        let (mut non_equi, mut compound) = (0, 0);
+        for _ in 0..500 {
+            let SetExpr::Select(select) = gen.query().body else {
+                continue;
+            };
+            for join in &select.joins {
+                match &join.constraint {
+                    Some(Expr::Binary {
+                        op: BinaryOp::And, ..
+                    }) => compound += 1,
+                    Some(Expr::Binary { op, .. }) if *op != BinaryOp::Eq => non_equi += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            non_equi > 0 && compound > 0,
+            "{}: {non_equi} non-equi and {compound} compound ONs in 500 queries",
             domain.name()
         );
     }

@@ -5,9 +5,9 @@
 //! sorts NULL *first* under ASC (Postgres defaults to NULLS LAST), and
 //! therefore last under DESC. These tests pin that contract explicitly,
 //! then demand strict ordered-list agreement — not just multiset
-//! equality — between every point of the executor configuration matrix
-//! (including the cost-based planner and its top-K fusion under LIMIT)
-//! and the reference interpreter, over every fuzz domain.
+//! equality — between every executor configuration of `exec_matrix`
+//! (all planned, so top-K fusion under LIMIT included) and the reference
+//! interpreter, over every fuzz domain.
 
 use sb_data::Domain;
 use sb_engine::{execute_reference, execute_with, Database, Value};

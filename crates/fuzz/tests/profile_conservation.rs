@@ -4,10 +4,11 @@
 //! operator's input exactly, across every execution configuration.
 //!
 //! Per domain, `SB_FUZZ_COUNT` generated statements (default 500, same
-//! base seeds as the differential campaign) run under a curated set of
-//! exec-option axes spanning the row interpreter, compiled programs,
-//! serial columnar kernels, morsel-parallel execution, nested-loop
-//! joins and pushdown-off. For each success:
+//! base seeds as the differential campaign) run under the fuzz oracle's
+//! exec configurations: the compiled row pipeline, serial columnar
+//! kernels and morsel-parallel execution. The generator's non-equi and
+//! compound `ON` constraints put nested-loop joins into the mix. For
+//! each success:
 //!
 //! - `ProfileSnapshot::check_conservation()` holds: every reserved scan
 //!   was touched, join step `j`'s `rows_in` equals its recorded
@@ -24,8 +25,8 @@
 //! mid-record, so no flow invariant is owed.
 
 use sb_data::Domain;
-use sb_engine::{execute_with_profile, Database, ExecOptions, JoinStrategy};
-use sb_fuzz::{fuzz_database, QueryGenerator};
+use sb_engine::{execute_with_profile, Database};
+use sb_fuzz::{exec_matrix, fuzz_database, QueryGenerator};
 use sb_obs::QueryProfile;
 use sb_sql::{Query, SetExpr, TableFactor};
 
@@ -36,56 +37,6 @@ fn fuzz_count() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_COUNT)
-}
-
-/// The exec-option axes. Not the fuzz oracle's full 96-config matrix —
-/// one representative per code path the profile plumbing threads
-/// through (row/compiled/columnar/parallel, join strategies, pushdown).
-fn axes() -> Vec<(&'static str, ExecOptions)> {
-    let base = ExecOptions::default();
-    vec![
-        ("default", base),
-        (
-            "row",
-            ExecOptions {
-                columnar: false,
-                parallel: false,
-                ..base
-            },
-        ),
-        (
-            "interpreted",
-            ExecOptions {
-                compiled: false,
-                columnar: false,
-                parallel: false,
-                ..base
-            },
-        ),
-        (
-            "parallel-3",
-            ExecOptions {
-                parallel: true,
-                workers: 3,
-                morsel_rows: 7,
-                ..base
-            },
-        ),
-        (
-            "nested-loop",
-            ExecOptions {
-                join: JoinStrategy::NestedLoop,
-                ..base
-            },
-        ),
-        (
-            "no-pushdown",
-            ExecOptions {
-                predicate_pushdown: false,
-                ..base
-            },
-        ),
-    ]
 }
 
 /// Base-table names of the top-level `FROM`/`JOIN` factors, in scan
@@ -113,7 +64,7 @@ fn check_campaign(domain: Domain, base_seed: u64) {
     let mut checked = 0usize;
     for (qi, query) in queries.iter().enumerate() {
         let tables = top_level_base_tables(query);
-        for (axis, opts) in axes() {
+        for (axis, opts) in exec_matrix() {
             let prof = QueryProfile::new();
             if execute_with_profile(&db, query, opts, Some(&prof)).is_err() {
                 continue;
@@ -130,7 +81,7 @@ fn check_campaign(domain: Domain, base_seed: u64) {
                     domain.name()
                 )
             });
-            check_scan_inputs(&db, &snap, tables.as_deref(), domain, qi, axis, query);
+            check_scan_inputs(&db, &snap, tables.as_deref(), domain, qi, &axis, query);
             checked += 1;
         }
     }

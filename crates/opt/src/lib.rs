@@ -78,23 +78,11 @@ pub struct RelMeta {
     pub rows: usize,
 }
 
-/// Which rewrites are enabled. The engine derives this from its
-/// `ExecOptions`, so every fuzz configuration exercises a different
-/// slice of the rule set.
+/// What the executor will do with the plan, as far as EXPLAIN's labels
+/// need to know. Every rewrite rule always runs; the engine derives
+/// these flags from its `ExecOptions`.
 #[derive(Debug, Clone, Copy)]
 pub struct OptOptions {
-    /// Push single-relation WHERE conjuncts into scans.
-    pub pushdown: bool,
-    /// Reorder inner equi-join chains by estimated cost.
-    pub reorder: bool,
-    /// Choose hash-join build sides from cardinality estimates.
-    pub choose_build: bool,
-    /// Whether the executor will run equi-joins as hash joins at all
-    /// (false under a forced nested-loop strategy); gates reordering
-    /// and EXPLAIN's operator labels.
-    pub hash_joins: bool,
-    /// Drop never-referenced columns at scan time.
-    pub prune: bool,
     /// Whether the executor will attempt vectorized columnar execution
     /// for eligible statements (see [`columnar_eligible`]); gates
     /// EXPLAIN's `Execute engine=` label.
@@ -110,11 +98,6 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> Self {
         OptOptions {
-            pushdown: true,
-            reorder: true,
-            choose_build: true,
-            hash_joins: true,
-            prune: true,
             columnar: true,
             parallel: true,
         }

@@ -81,15 +81,13 @@ pub struct PlannedSelect<'e> {
     /// Execution order of relations (original indices);
     /// `order[0]` is scanned first.
     pub order: Vec<usize>,
-    /// Join steps aligned with `order[1..]` — used by the executor only
-    /// when `reordered`, and by EXPLAIN for labels either way.
+    /// Join steps aligned with `order[1..]`: hash keys and
+    /// estimate-chosen build sides for the executors, labels for
+    /// EXPLAIN.
     pub steps: Vec<PlannedJoin>,
     /// Whether `order` differs from source order (the executor must run
     /// the order-restoring join pipeline).
     pub reordered: bool,
-    /// Estimate-chosen hash build sides per *source* join, for the
-    /// source-order executor path.
-    pub build_sides: Vec<bool>,
     /// Estimated scan output rows per relation (after pushed filters).
     pub scan_est: Vec<f64>,
 }
@@ -113,23 +111,17 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
 
     // Rule 1: predicate pushdown.
     let nullable: Vec<bool> = (0..n).map(|i| i > 0 && select.joins[i - 1].left).collect();
-    let (pushed, residual) = assign_pushdown(
-        select.selection.as_ref(),
-        resolver,
-        n,
-        &nullable,
-        input.opts.pushdown,
-    );
+    let (pushed, residual) = assign_pushdown(select.selection.as_ref(), resolver, n, &nullable);
 
     // Rule 2: projection pushdown (decided here, applied by the engine).
-    let keep = prune_columns(input, resolver);
+    let keep = prune_columns(input);
 
     let scan_est: Vec<f64> = (0..n)
         .map(|i| scan_estimate(&rels[i], &pushed[i], resolver, rels))
         .collect();
 
     // Rule 3: cost-based join reordering over the equi-join tree.
-    let edges = if input.opts.reorder && input.opts.hash_joins && n >= 3 {
+    let edges = if n >= 3 {
         extract_join_tree(input, resolver)
     } else {
         None
@@ -148,13 +140,6 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
         )
     };
 
-    // Rule 4: build-side selection for the source-order path. (Reordered
-    // steps carry their own build sides.)
-    let build_sides = steps
-        .iter()
-        .map(|s| input.opts.choose_build && s.build_left)
-        .collect();
-
     PlannedSelect {
         pushed,
         residual,
@@ -162,7 +147,6 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
         order,
         steps,
         reordered,
-        build_sides,
         scan_est,
     }
 }
@@ -174,14 +158,14 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
 /// ORDER BY alias fallback behave identically against the pruned scope.
 /// Disabled for single-relation statements (scans stay zero-copy) and
 /// in the presence of a wildcard projection.
-fn prune_columns(input: &PlanInput<'_>, _resolver: &dyn Resolver) -> Vec<Option<Vec<usize>>> {
+fn prune_columns(input: &PlanInput<'_>) -> Vec<Option<Vec<usize>>> {
     let select = input.select;
     let n = input.rels.len();
     let wildcard = select
         .projections
         .iter()
         .any(|p| matches!(p, SelectItem::Wildcard));
-    if !input.opts.prune || n < 2 || wildcard {
+    if n < 2 || wildcard {
         return vec![None; n];
     }
     let mut refs = Vec::new();
@@ -373,8 +357,8 @@ fn greedy_order(
 
 /// Steps for the source-order path: estimates walk the joins as
 /// written, extracting per-join equi keys opportunistically (for build
-/// sides and EXPLAIN labels; the executor re-derives its own hash keys
-/// on this path).
+/// sides, the batch engine's hash joins and EXPLAIN labels; the row
+/// executor re-derives its own hash keys on this path).
 fn source_order_steps(
     input: &PlanInput<'_>,
     resolver: &dyn Resolver,
@@ -661,12 +645,6 @@ mod tests {
         let parsed = parse(sql).unwrap();
         let p = plan(sql, &parsed, &rels, OptOptions::default());
         assert!(!p.reordered, "two relations never reorder");
-        assert_eq!(p.build_sides, vec![true], "build on the 3-row side");
-        let no_build = OptOptions {
-            choose_build: false,
-            ..OptOptions::default()
-        };
-        let p = plan(sql, &parsed, &rels, no_build);
-        assert_eq!(p.build_sides, vec![false]);
+        assert!(p.steps[0].build_left, "build on the 3-row side");
     }
 }

@@ -3,30 +3,44 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release =="
+# Each stage reports its elapsed seconds when the next one starts; the
+# last line reports the whole gate's wall time.
+stage_name=""
+stage_start=$SECONDS
+stage() {
+    if [[ -n "$stage_name" ]]; then
+        echo "-- $stage_name: $((SECONDS - stage_start)) s"
+    fi
+    stage_name="$1"
+    stage_start=$SECONDS
+    [[ -n "$1" ]] && echo "== $1 =="
+    return 0
+}
+
+stage "cargo build --release"
 # --workspace: the root Cargo.toml is both a workspace and a package, so
 # a bare `cargo build` would skip member-only binaries like profile_run.
 cargo build --release --workspace
 
-echo "== fuzz smoke: differential oracle, bounded (500 queries/domain) =="
+stage "fuzz smoke: differential oracle, bounded (500 queries/domain)"
 SB_FUZZ_COUNT=500 cargo test -q -p sb-fuzz
 
-echo "== cargo test -q (workspace) =="
+stage "cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "== benchmark package: build and test sbbench =="
+stage "benchmark package: build and test sbbench"
 # benchmark/ is a cargo package of its own (not a workspace member) that
 # calls the crates' public API, so a breaking API change fails here.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== plan snapshots: regenerate and diff committed goldens =="
+stage "plan snapshots: regenerate and diff committed goldens"
 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots
 git diff --exit-code -- tests/goldens/plans || {
     echo "EXPLAIN plan goldens drifted; commit the regenerated files if intentional" >&2
     exit 1
 }
 
-echo "== analyzed plan snapshots: regenerate, diff, and pin at 1 and 8 threads =="
+stage "analyzed plan snapshots: regenerate, diff, and pin at 1 and 8 threads"
 # EXPLAIN ANALYZE goldens pin workers/morsel size inside the test, so the
 # rendered operator counts must be byte-stable at any ambient thread
 # count: regenerate under 8 threads, then re-check (no regen) under 1.
@@ -37,7 +51,7 @@ git diff --exit-code -- tests/goldens/plans_analyzed || {
 }
 RAYON_NUM_THREADS=1 cargo test -q --test plan_snapshots_analyzed
 
-echo "== obs smoke: SB_OBS=summary profile_run on one domain =="
+stage "obs smoke: SB_OBS=summary profile_run on one domain"
 report="$(mktemp)"
 serve_report="$(mktemp)"
 trap 'rm -f "$report" "$serve_report"' EXIT
@@ -52,18 +66,18 @@ grep -q '"pipeline.pairs_emitted"' "$report" || {
     exit 1
 }
 
-echo "== columnar smoke: batch engine live under default options =="
+stage "columnar smoke: batch engine live under default options"
 # ExecOptions::default() has columnar on; the report must carry batch
 # counters, proving the vectorized path executed rather than silently
 # falling back to the row engine everywhere. (The fuzz smoke above
-# already differentially checks the +columnar half of the 96-config
-# matrix against the reference interpreter.)
+# already differentially checks the columnar and columnar+parallel
+# configurations against the reference interpreter.)
 grep -q '"engine.columnar.selects"' "$report" || {
     echo "profile_run report is missing columnar batch counters (batch engine never ran)" >&2
     exit 1
 }
 
-echo "== parallel smoke: morsel dispatch live at 1 and 8 threads =="
+stage "parallel smoke: morsel dispatch live at 1 and 8 threads"
 # Force multi-morsel dispatch on the small fuzz tables (SB_MORSEL_ROWS)
 # and check the engine's byte-determinism contract end to end at both
 # thread counts, plus the obs counters that prove morsels actually ran.
@@ -80,7 +94,7 @@ grep -q '"engine.parallel.morsels"' "$par_report" || {
 }
 rm -f "$par_report"
 
-echo "== serve smoke: in-process load run across all three domains =="
+stage "serve smoke: in-process load run across all three domains"
 # Closed-loop mini load test against the concurrent query service (plan
 # cache on, 4 clients), then shape-check the emitted BENCH document:
 # well-formed JSON with per-domain qps and latency quantiles. A
@@ -116,7 +130,7 @@ for domain in cordis sdss oncomx; do
     }
 done
 
-echo "== bench baseline shape: scaling_curve group committed =="
+stage "bench baseline shape: scaling_curve group committed"
 # The criterion baseline must carry the serial-vs-parallel scaling curve
 # (regenerated by CRITERION_JSON=BENCH_engine.json cargo bench -p sb-bench).
 for probe in '"group": "scaling_curve"' '_serial"' '_parallel"'; do
@@ -126,7 +140,7 @@ for probe in '"group": "scaling_curve"' '_serial"' '_parallel"'; do
     }
 done
 
-echo "== bench regression gate (informational) =="
+stage "bench regression gate (informational)"
 # Compare the committed BENCH_serve.json baseline against the load run
 # this script just produced. Wall-clock numbers vary across machines, so
 # a regression here warns instead of failing the gate; scripts/bench_diff
@@ -138,10 +152,11 @@ echo "== bench regression gate (informational) =="
 # clean by construction — a failure here means the tool or format broke.
 ./scripts/bench_diff BENCH_engine.json BENCH_engine.json > /dev/null
 
-echo "== cargo clippy -- -D warnings =="
+stage "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo fmt --check =="
+stage "cargo fmt --check"
 cargo fmt --check
 
-echo "All checks passed."
+stage ""
+echo "All checks passed in $SECONDS s."

@@ -1,43 +1,44 @@
-//! Equivalence and determinism guarantees for the execution-engine
-//! rework: every join strategy and pushdown setting must produce the
-//! exact same `ResultSet` (rows *and* order), and the parallel pipeline
-//! must be byte-identical regardless of thread count.
+//! Equivalence and determinism guarantees for the execution engine:
+//! the row pipeline, the columnar batch engine and its morsel-parallel
+//! mode must produce the exact same `ResultSet` (rows *and* order) as
+//! each other and the same result as the reference interpreter, and
+//! the parallel pipeline must be byte-identical regardless of thread
+//! count.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sciencebenchmark::core::{Pipeline, PipelineConfig};
 use sciencebenchmark::data::{Domain, SizeClass};
-use sciencebenchmark::engine::{Database, EngineError, ExecOptions, JoinStrategy};
+use sciencebenchmark::engine::{execute_reference, Database, EngineError, ExecOptions};
 use sciencebenchmark::schema::{Column, ColumnType, Schema, TableDef};
 
-/// Every execution configuration that must agree: the default (pushdown +
-/// auto hash join + compiled expressions + columnar batch engine), each
-/// forced join strategy with and without pushdown, each of those both
-/// compiled and interpreted and with the columnar engine on and off, and
-/// the pre-rework cloning path.
+/// Every execution configuration that must agree: the default
+/// (columnar batch engine, morsel-parallel where it pays), the compiled
+/// row pipeline, and the batch engine with forced multi-worker fan-out
+/// over tiny morsels.
 fn all_options() -> Vec<ExecOptions> {
-    let mut out = vec![ExecOptions::default(), ExecOptions::legacy()];
-    for join in [
-        JoinStrategy::Auto,
-        JoinStrategy::BuildRight,
-        JoinStrategy::NestedLoop,
-    ] {
-        for predicate_pushdown in [false, true] {
-            for compiled in [false, true] {
-                for columnar in [false, true] {
-                    out.push(ExecOptions {
-                        join,
-                        predicate_pushdown,
-                        compiled,
-                        columnar,
-                        ..ExecOptions::default()
-                    });
-                }
-            }
-        }
-    }
-    out
+    vec![
+        ExecOptions::default(),
+        ExecOptions {
+            columnar: false,
+            parallel: false,
+            ..ExecOptions::default()
+        },
+        ExecOptions {
+            workers: 3,
+            morsel_rows: 7,
+            ..ExecOptions::default()
+        },
+    ]
+}
+
+/// `sql`'s result under the reference interpreter, which every
+/// configuration must match (as a multiset, or as an ordered list under
+/// `ORDER BY`).
+fn reference_result(db: &Database, sql: &str) -> sciencebenchmark::engine::ResultSet {
+    let q = sciencebenchmark::sql::parser::parse(sql).unwrap();
+    execute_reference(db, &q).unwrap_or_else(|e| panic!("reference failed on `{sql}`: {e}"))
 }
 
 /// A type-appropriate comparison for `col_ref`, so generated queries
@@ -121,6 +122,11 @@ fn join_strategies_agree_on_random_equi_joins_across_domains() {
             let reference =
                 d.db.run_with(&sql, ExecOptions::default())
                     .unwrap_or_else(|e| panic!("{}: `{sql}`: {e}", domain.name()));
+            assert!(
+                reference.same_result(&reference_result(&d.db, &sql)),
+                "{}: `{sql}` differs from the reference interpreter",
+                domain.name()
+            );
             for opts in all_options() {
                 let rs = d
                     .db
@@ -150,6 +156,11 @@ fn pushdown_agrees_on_filtered_single_table_scans() {
             let pred = typed_predicate(&mut rng, &col.name.clone(), col.ty);
             let sql = format!("SELECT {proj} FROM {} WHERE {pred}", t.name);
             let reference = d.db.run_with(&sql, ExecOptions::default()).unwrap();
+            assert!(
+                reference.same_result(&reference_result(&d.db, &sql)),
+                "{}: `{sql}` differs from the reference interpreter",
+                domain.name()
+            );
             for opts in all_options() {
                 assert_eq!(
                     d.db.run_with(&sql, opts).unwrap(),
@@ -240,9 +251,9 @@ fn obs_on_and_off_produce_identical_result_sets() {
         "engine instrumentation did not collect"
     );
     assert!(report.counter("engine.dispatch.compiled") > 0);
-    assert!(report.counter("engine.dispatch.interpreted") > 0);
-    // The columnar batch engine ran (half the matrix enables it, the
-    // workload is batch-eligible) and its kernels are instrumented.
+    // The columnar batch engine ran (two of three configurations
+    // enable it, the workload is batch-eligible) and its kernels are
+    // instrumented.
     assert!(report.counter("engine.columnar.selects") > 0);
     assert!(report.counter("engine.columnar.join.hash") > 0);
     assert!(report.counter("engine.columnar.filter.batches") > 0);
@@ -283,10 +294,10 @@ fn query_profiles_do_not_change_result_sets() {
 }
 
 // ---------------------------------------------------------------------
-// Error parity: the compiled expression path must surface the same
-// binding errors — same variant, same rendered payload — as the
-// interpreter, and zero-row plans must swallow residual errors the same
-// way on both paths.
+// Error parity: every configuration must surface the same binding
+// errors — same variant, same rendered payload — and zero-row plans
+// must swallow residual errors the same way everywhere. The reference
+// interpreter must reject (or accept) the same statements.
 // ---------------------------------------------------------------------
 
 /// Two tables sharing the column name `shared` (the ambiguity surface).
@@ -319,8 +330,14 @@ fn parity_db() -> Database {
 }
 
 /// Every configuration must reject `sql`, and every rejection must render
-/// the exact same message — not just the same variant.
+/// the exact same message — not just the same variant. The reference
+/// interpreter must reject it too.
 fn assert_uniform_error(db: &Database, sql: &str) -> EngineError {
+    let q = sciencebenchmark::sql::parser::parse(sql).unwrap();
+    assert!(
+        execute_reference(db, &q).is_err(),
+        "`{sql}` must fail under the reference interpreter"
+    );
     let mut first: Option<EngineError> = None;
     for opts in all_options() {
         let err = db
@@ -395,7 +412,7 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     let db = parity_db();
     // `T1.x = 'NOMATCH'` pushes into the scan of `a` and empties it; the
     // ON constraint's unknown column must still be reported — with the
-    // same message — whether the constraint is compiled or interpreted.
+    // same message — by every configuration.
     let err = assert_uniform_error(
         &db,
         "SELECT T2.shared FROM a AS T1 JOIN b AS T2 ON T1.nope = T2.id \
@@ -403,10 +420,12 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     );
     assert!(matches!(err, EngineError::UnknownColumn(_)));
     // ...while a residual (multi-table) conjunct over an unknown column
-    // is never evaluated once the plan carries zero rows: both paths
-    // succeed with an empty result instead of erroring.
+    // is never evaluated once the plan carries zero rows: every
+    // configuration (and the reference) succeeds with an empty result
+    // instead of erroring.
     let sql = "SELECT T1.x FROM a AS T1 JOIN b AS T2 ON T1.id = T2.id \
                WHERE T1.x = 'NOMATCH' AND T1.shared + T2.nope < 0";
+    assert!(reference_result(&db, sql).rows.is_empty());
     for opts in all_options() {
         let rs = db
             .run_with(sql, opts)

@@ -181,24 +181,27 @@ fn plan_snapshots_match_goldens() {
     );
 }
 
-/// The snapshot suite pins plans under default options; this pins that
-/// EXPLAIN respects non-default options too (a nested-loop-only session
-/// must not label joins as hash joins).
+/// The join algorithm follows the ON constraint: a column equality
+/// runs (and EXPLAINs) as a hash join, anything else — no golden
+/// renders one — as a nested loop, and must never be labeled a hash
+/// join.
 #[test]
 fn explain_respects_join_strategy() {
     let db = fuzz_database(Domain::Sdss);
-    let sql = "SELECT s.class FROM specobj AS s JOIN photoobj AS p ON s.bestobjid = p.objid";
-    let q = sb_sql::parse(sql).unwrap();
-    let auto = explain(&db, &q, ExecOptions::default()).unwrap();
-    assert!(auto.contains("HashJoin"), "auto:\n{auto}");
-    let nl = explain(
-        &db,
-        &q,
-        ExecOptions {
-            join: sb_engine::JoinStrategy::NestedLoop,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(nl.contains("NestedLoopJoin"), "nested loop:\n{nl}");
+    let explain_sql = |sql: &str| {
+        let q = sb_sql::parse(sql).unwrap();
+        explain(&db, &q, ExecOptions::default()).unwrap()
+    };
+    let equi =
+        explain_sql("SELECT s.class FROM specobj AS s JOIN photoobj AS p ON s.bestobjid = p.objid");
+    assert!(equi.contains("HashJoin"), "equi-join:\n{equi}");
+    for sql in [
+        "SELECT s.class FROM specobj AS s JOIN photoobj AS p ON s.bestobjid < p.objid",
+        "SELECT s.class FROM specobj AS s JOIN photoobj AS p \
+         ON s.bestobjid = p.objid AND p.objid > 3",
+    ] {
+        let nl = explain_sql(sql);
+        assert!(nl.contains("NestedLoopJoin"), "nested loop:\n{nl}");
+        assert!(!nl.contains("HashJoin"), "nested loop:\n{nl}");
+    }
 }
