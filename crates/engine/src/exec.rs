@@ -182,14 +182,6 @@ impl ExecOptions {
         self.workers = (budget / in_flight.max(1)).max(1);
         self
     }
-
-    /// The `sb-opt` view of these options (EXPLAIN labels only).
-    pub(crate) fn opt_options(&self) -> sb_opt::OptOptions {
-        sb_opt::OptOptions {
-            columnar: self.columnar,
-            parallel: self.parallel,
-        }
-    }
 }
 
 /// The default morsel size: `SB_MORSEL_ROWS` when set and positive,
@@ -354,11 +346,7 @@ fn execute_query(
 /// surface the binding error itself). The plan derives only from the immutable
 /// snapshot's schema and row counts, so it reproduces exactly what
 /// fresh planning inside [`execute_with`] would decide.
-pub fn plan_top_select(
-    db: &Database,
-    query: &Query,
-    opts: ExecOptions,
-) -> Option<sb_opt::OwnedPlan> {
+pub fn plan_top_select(db: &Database, query: &Query) -> Option<sb_opt::OwnedPlan> {
     let SetExpr::Select(select) = &query.body else {
         return None;
     };
@@ -394,7 +382,6 @@ pub fn plan_top_select(
         order_by: &query.order_by,
         limit: query.limit,
         rels: &metas,
-        opts: opts.opt_options(),
     };
     let planned = sb_opt::plan_select(&input, &resolver);
     sb_opt::OwnedPlan::capture(&planned, select)
@@ -1179,7 +1166,6 @@ fn execute_select_impl(
                 order_by,
                 limit,
                 rels: &rels_meta,
-                opts: opts.opt_options(),
             };
             sb_opt::plan_select(&input, &ScopeResolver(&full_scope))
         }
@@ -2214,7 +2200,7 @@ mod tests {
             ),
         ] {
             let q = sb_sql::parse(sql).unwrap();
-            let plan = plan_top_select(&db, &q, ExecOptions::default()).unwrap();
+            let plan = plan_top_select(&db, &q).unwrap();
             let SetExpr::Select(select) = &q.body else {
                 panic!("select expected")
             };

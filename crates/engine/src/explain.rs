@@ -2,9 +2,10 @@
 //! operator tree, without executing the outer query.
 //!
 //! The tree is built from the exact [`sb_opt::PlannedSelect`] the
-//! executor would consume under the same [`ExecOptions`], so the text
-//! is a faithful record of pushdown, pruning, join order and build-side
-//! choices. Derived tables are materialized (they must be, for the
+//! executor would consume, so the text is a faithful record of
+//! pushdown, pruning, join order and build-side choices. Planning takes
+//! no options; [`ExecOptions`] only picks the root's `engine=` and
+//! `parallel=` labels. Derived tables are materialized (they must be, for the
 //! planner's row counts to mean anything) and their subplans nest under
 //! the `DerivedScan` operator that consumes them.
 
@@ -15,6 +16,14 @@ use crate::exec::{rel_metas, resolve_relation, ExecOptions, ScopeResolver};
 use sb_obs::{BlockSnapshot, OpSnapshot, ProfileSnapshot, QueryProfile};
 use sb_opt::PlanNode;
 use sb_sql::{OrderItem, Query, Select, SetExpr, SetOp, TableFactor};
+
+/// The `sb-opt` view of `opts`: the flags EXPLAIN's root label reads.
+fn labels(opts: ExecOptions) -> sb_opt::OptOptions {
+    sb_opt::OptOptions {
+        columnar: opts.columnar,
+        parallel: opts.parallel,
+    }
+}
 
 /// Render the execution plan for `query` under `opts` as indented text.
 pub fn explain(db: &Database, query: &Query, opts: ExecOptions) -> Result<String> {
@@ -145,10 +154,9 @@ fn plan_select_node(
         order_by,
         limit,
         rels: &rels,
-        opts: opts.opt_options(),
     };
     let planned = sb_opt::plan_select(&input, &resolver);
-    Ok(sb_opt::build_plan(&input, &planned, &derived))
+    Ok(sb_opt::build_plan(&input, &planned, &derived, labels(opts)))
 }
 
 /// Analyzed twin of [`plan_set_expr`]: walks the statement in the exact
@@ -252,15 +260,14 @@ fn plan_select_node_analyzed(
         order_by,
         limit,
         rels: &rels,
-        opts: opts.opt_options(),
     };
     let planned = sb_opt::plan_select(&input, &resolver);
     Ok(match snap.blocks.get(my_block) {
         Some(block) => {
             let ann = BlockAnnotator { block, timings };
-            sb_opt::build_plan_annotated(&input, &planned, &derived, &ann)
+            sb_opt::build_plan_annotated(&input, &planned, &derived, labels(opts), &ann)
         }
-        None => sb_opt::build_plan(&input, &planned, &derived),
+        None => sb_opt::build_plan(&input, &planned, &derived, labels(opts)),
     })
 }
 

@@ -180,12 +180,19 @@ pub fn check_query(db: &Database, query: &Query) -> Result<(), Disagreement> {
             executor: "-".to_string(),
         });
     }
+    // Plans take no executor options, so one captured plan serves every
+    // configuration, as one prepared statement serves every sb-serve
+    // request.
+    let plan = catch_unwind(AssertUnwindSafe(|| plan_top_select(db, query))).map_err(|_| {
+        Disagreement::Mismatch {
+            config: "plan_top_select".to_string(),
+            reference: reference.label(),
+            executor: "panic".to_string(),
+        }
+    })?;
     for (name, opts) in exec_matrix() {
         let fresh = run_caught(|| execute_with(db, query, opts));
-        let cached = run_caught(|| {
-            let plan = plan_top_select(db, query, opts);
-            execute_with_plan(db, query, opts, plan.as_ref())
-        });
+        let cached = run_caught(|| execute_with_plan(db, query, opts, plan.as_ref()));
         for (leg, got) in [("", fresh), ("+cached-plan", cached)] {
             if !agree(&reference, &got) {
                 sb_obs::count("fuzz.oracle.config_mismatches", 1);

@@ -120,7 +120,7 @@ impl OwnedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ColMeta, OptOptions, PlanInput, RelMeta, Resolution, Resolver};
+    use crate::{ColMeta, PlanInput, RelMeta, Resolution, Resolver};
     use sb_sql::{parse, ColumnRef, SetExpr};
 
     /// Resolver over rel metas: qualified by binding, bare by unique name.
@@ -212,7 +212,6 @@ mod tests {
             order_by: &parsed.order_by,
             limit: parsed.limit,
             rels: &rels,
-            opts: OptOptions::default(),
         };
         let fresh = crate::plan_select(&input, &MetaResolver(&rels));
         assert!(fresh.reordered, "exercises the interesting plan shape");
@@ -234,7 +233,6 @@ mod tests {
             order_by: &parsed.order_by,
             limit: parsed.limit,
             rels: &rels,
-            opts: OptOptions::default(),
         };
         let fresh = crate::plan_select(&input, &MetaResolver(&rels));
         let owned = OwnedPlan::capture(&fresh, select).expect("own plan");

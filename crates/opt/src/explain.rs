@@ -17,6 +17,23 @@
 use crate::plan::{PlanInput, PlannedSelect};
 use sb_sql::{Select, SelectItem};
 
+/// What the executor will do with a plan, as far as EXPLAIN's root
+/// label needs to know. Planning itself takes no options; the engine
+/// derives these flags from its `ExecOptions`.
+#[derive(Debug, Clone, Copy)]
+pub struct OptOptions {
+    /// Whether the executor will attempt vectorized columnar execution
+    /// for eligible statements (see [`crate::columnar_eligible`]); gates
+    /// EXPLAIN's `Execute engine=` label.
+    pub columnar: bool,
+    /// Whether the executor will run eligible columnar stages
+    /// morsel-parallel (see [`crate::parallel_eligible`]); gates EXPLAIN's
+    /// `parallel=` root annotation. Deliberately a bool, never a worker
+    /// count: plans (and their goldens) must not depend on how many
+    /// threads the current machine happens to have.
+    pub parallel: bool,
+}
+
 /// One rendered operator: a label plus child operators. Deliberately
 /// schemaless — derived-table subplans nest as ordinary children.
 #[derive(Debug, Clone)]
@@ -101,8 +118,9 @@ pub fn build_plan(
     input: &PlanInput<'_>,
     planned: &PlannedSelect<'_>,
     derived: &[Option<PlanNode>],
+    opts: OptOptions,
 ) -> PlanNode {
-    build_plan_inner(input, planned, derived, None)
+    build_plan_inner(input, planned, derived, opts, None)
 }
 
 /// [`build_plan`] with runtime statistics appended to operator labels —
@@ -111,15 +129,17 @@ pub fn build_plan_annotated(
     input: &PlanInput<'_>,
     planned: &PlannedSelect<'_>,
     derived: &[Option<PlanNode>],
+    opts: OptOptions,
     ann: &dyn PlanAnnotator,
 ) -> PlanNode {
-    build_plan_inner(input, planned, derived, Some(ann))
+    build_plan_inner(input, planned, derived, opts, Some(ann))
 }
 
 fn build_plan_inner(
     input: &PlanInput<'_>,
     planned: &PlannedSelect<'_>,
     derived: &[Option<PlanNode>],
+    opts: OptOptions,
     ann: Option<&dyn PlanAnnotator>,
 ) -> PlanNode {
     let select = input.select;
@@ -283,14 +303,14 @@ fn build_plan_inner(
     // fan out, `none` when the shape has no parallel kernel, `off` when
     // the session disabled parallelism. Worker counts and morsel sizes
     // never appear here — the same plan text renders on every machine.
-    let engine = if input.opts.columnar && crate::columnar_eligible(select, input.order_by) {
+    let engine = if opts.columnar && crate::columnar_eligible(select, input.order_by) {
         "columnar"
     } else {
         "row"
     };
     let mut root = format!("Execute engine={engine}");
     if engine == "columnar" {
-        let par = if !input.opts.parallel {
+        let par = if !opts.parallel {
             "off"
         } else if crate::parallel_eligible(select, input.order_by) {
             "morsel"

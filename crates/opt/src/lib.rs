@@ -47,7 +47,7 @@ pub mod pushdown;
 
 pub use cache::OwnedPlan;
 pub use columnar::{columnar_eligible, parallel_eligible};
-pub use explain::{build_plan, build_plan_annotated, render, PlanAnnotator, PlanNode};
+pub use explain::{build_plan, build_plan_annotated, render, OptOptions, PlanAnnotator, PlanNode};
 pub use plan::{plan_select, EdgeKey, PlanInput, PlannedJoin, PlannedSelect};
 pub use pushdown::{assign_pushdown, collect_columns, has_subquery, split_conjuncts};
 
@@ -76,32 +76,6 @@ pub struct RelMeta {
     /// Actual row count: base-table size, or the materialized size of a
     /// derived table (which the executor has already run).
     pub rows: usize,
-}
-
-/// What the executor will do with the plan, as far as EXPLAIN's labels
-/// need to know. Every rewrite rule always runs; the engine derives
-/// these flags from its `ExecOptions`.
-#[derive(Debug, Clone, Copy)]
-pub struct OptOptions {
-    /// Whether the executor will attempt vectorized columnar execution
-    /// for eligible statements (see [`columnar_eligible`]); gates
-    /// EXPLAIN's `Execute engine=` label.
-    pub columnar: bool,
-    /// Whether the executor will run eligible columnar stages
-    /// morsel-parallel (see [`parallel_eligible`]); gates EXPLAIN's
-    /// `parallel=` root annotation. Deliberately a bool, never a worker
-    /// count: plans (and their goldens) must not depend on how many
-    /// threads the current machine happens to have.
-    pub parallel: bool,
-}
-
-impl Default for OptOptions {
-    fn default() -> Self {
-        OptOptions {
-            columnar: true,
-            parallel: true,
-        }
-    }
 }
 
 /// Result of resolving one column reference against the statement's

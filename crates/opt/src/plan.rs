@@ -25,7 +25,7 @@
 
 use crate::cost::{join_estimate, scan_estimate};
 use crate::pushdown::assign_pushdown;
-use crate::{OptOptions, RelMeta, Resolution, Resolver};
+use crate::{RelMeta, Resolution, Resolver};
 use sb_sql::{BinaryOp, Expr, OrderItem, Select, SelectItem};
 
 /// Everything the planner needs about one statement.
@@ -38,8 +38,6 @@ pub struct PlanInput<'a> {
     pub limit: Option<u64>,
     /// Per-relation metadata, in FROM/JOIN order.
     pub rels: &'a [RelMeta],
-    /// Which rewrites are enabled.
-    pub opts: OptOptions,
 }
 
 /// One equi-join hash key, in original coordinates: column `left_col`
@@ -529,12 +527,7 @@ mod tests {
         }
     }
 
-    fn plan<'a>(
-        sql: &'a str,
-        parsed: &'a sb_sql::Query,
-        rels: &'a [RelMeta],
-        opts: OptOptions,
-    ) -> PlannedSelect<'a> {
+    fn plan<'a>(sql: &'a str, parsed: &'a sb_sql::Query, rels: &'a [RelMeta]) -> PlannedSelect<'a> {
         let _ = sql;
         let SetExpr::Select(select) = &parsed.body else {
             panic!("select expected")
@@ -544,7 +537,6 @@ mod tests {
             order_by: &parsed.order_by,
             limit: parsed.limit,
             rels,
-            opts,
         };
         plan_select(&input, &MetaResolver(rels))
     }
@@ -561,7 +553,7 @@ mod tests {
         let sql = "SELECT a.id FROM a JOIN b ON a.b_id = b.id \
                    JOIN c ON c.a_id = a.id WHERE b.kind = 'x'";
         let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &parsed, &rels);
         assert!(p.reordered);
         assert_eq!(p.order[0], 1, "starts from the filtered 10-row b");
         assert_eq!(p.steps.len(), 2);
@@ -582,7 +574,7 @@ mod tests {
             "SELECT a.id FROM a JOIN b ON a_id = a.id JOIN c ON c.b_id = b.a_id",
         ] {
             let parsed = parse(sql).unwrap();
-            let p = plan(sql, &parsed, &rels, OptOptions::default());
+            let p = plan(sql, &parsed, &rels);
             assert!(!p.reordered, "{sql}");
             assert_eq!(p.order, vec![0, 1, 2]);
         }
@@ -597,7 +589,7 @@ mod tests {
         ];
         let sql = "SELECT u.t_id FROM t JOIN u ON u.t_id = t.id JOIN t ON u.t_id = t.id";
         let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &parsed, &rels);
         assert!(!p.reordered);
     }
 
@@ -609,7 +601,7 @@ mod tests {
         ];
         let sql = "SELECT a.id FROM a JOIN b ON a.b_id = b.id";
         let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &parsed, &rels);
         assert_eq!(p.keep[0], Some(vec![0, 1]), "junk pruned from a");
         assert_eq!(p.keep[1], Some(vec![0]), "wide1/wide2 pruned from b");
         assert_eq!(pruned_index(&p.keep[0], 1), 1);
@@ -617,7 +609,7 @@ mod tests {
         // Wildcard disables pruning entirely.
         let sql = "SELECT * FROM a JOIN b ON a.b_id = b.id";
         let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &parsed, &rels);
         assert_eq!(p.keep, vec![None, None]);
     }
 
@@ -631,7 +623,7 @@ mod tests {
         ];
         let sql = "SELECT a.id AS w FROM a JOIN b ON a.b_id = b.id ORDER BY w";
         let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &parsed, &rels);
         assert_eq!(p.keep[1], None, "w is referenced via ORDER BY");
     }
 
@@ -643,7 +635,7 @@ mod tests {
         ];
         let sql = "SELECT small.id FROM small JOIN big ON big.small_id = small.id";
         let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &parsed, &rels);
         assert!(!p.reordered, "two relations never reorder");
         assert!(p.steps[0].build_left, "build on the 3-row side");
     }

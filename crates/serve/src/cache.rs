@@ -27,12 +27,13 @@
 //! tables, unknown relations) prepare with `plan: None` and execute
 //! through the ordinary path, planning per request as before.
 //!
-//! One cache instance is bound to one service: the entries embed
-//! decisions derived from that service's `ExecOptions` and snapshots,
-//! so entries must never be shared across services with different
-//! configuration.
+//! One cache instance is bound to one service: entries are keyed by
+//! snapshot name and embed decisions derived from that snapshot's
+//! schema and row counts, so they must never be shared with a service
+//! whose snapshot of the same name differs. Plans do not depend on
+//! `ExecOptions`; the options apply when a plan is executed.
 
-use sb_engine::{Database, ExecOptions};
+use sb_engine::Database;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -96,7 +97,6 @@ impl PlanCache {
         db_name: &str,
         db: &Database,
         sql: &str,
-        opts: ExecOptions,
     ) -> (Result<Arc<Prepared>, String>, bool) {
         let raw_key = (db_name.to_string(), sql.to_string());
         {
@@ -127,7 +127,7 @@ impl PlanCache {
                     inner.by_norm.get(&norm_key).map(Arc::clone)
                 };
                 let prepared = existing.unwrap_or_else(|| {
-                    let plan = sb_engine::plan_top_select(db, &query, opts);
+                    let plan = sb_engine::plan_top_select(db, &query);
                     Arc::new(Prepared {
                         normalized,
                         query: Arc::new(query),
@@ -194,20 +194,19 @@ mod tests {
     fn raw_repeat_hits_and_cosmetic_variants_share_one_plan() {
         let db = Domain::Sdss.build(SizeClass::Tiny).db;
         let cache = PlanCache::new();
-        let opts = ExecOptions::default();
         let sql = "SELECT s.class FROM specobj AS s WHERE s.z > 0.5";
 
-        let (first, hit) = cache.prepare("sdss", &db, sql, opts);
+        let (first, hit) = cache.prepare("sdss", &db, sql);
         assert!(!hit);
         let first = first.expect("parses");
-        let (second, hit) = cache.prepare("sdss", &db, sql, opts);
+        let (second, hit) = cache.prepare("sdss", &db, sql);
         assert!(hit, "verbatim repeat must hit the raw layer");
         assert!(Arc::ptr_eq(&first, &second.expect("parses")));
 
         // Different spelling, same canonical statement: raw miss, but
         // the normalized layer hands back the very same entry.
         let variant = "select  s.class  from specobj as s where s.z > 0.5";
-        let (third, hit) = cache.prepare("sdss", &db, variant, opts);
+        let (third, hit) = cache.prepare("sdss", &db, variant);
         assert!(!hit);
         assert!(Arc::ptr_eq(&first, &third.expect("parses")));
         assert_eq!(cache.len(), 2);
@@ -219,9 +218,8 @@ mod tests {
     fn parse_errors_are_cached() {
         let db = Domain::Sdss.build(SizeClass::Tiny).db;
         let cache = PlanCache::new();
-        let opts = ExecOptions::default();
-        let (r1, hit1) = cache.prepare("sdss", &db, "SELECT FROM WHERE", opts);
-        let (r2, hit2) = cache.prepare("sdss", &db, "SELECT FROM WHERE", opts);
+        let (r1, hit1) = cache.prepare("sdss", &db, "SELECT FROM WHERE");
+        let (r2, hit2) = cache.prepare("sdss", &db, "SELECT FROM WHERE");
         assert!(!hit1);
         assert!(hit2, "second failure must come from the cache");
         assert_eq!(r1.unwrap_err(), r2.unwrap_err());
@@ -231,10 +229,9 @@ mod tests {
     fn snapshot_name_partitions_the_cache() {
         let db = Domain::Sdss.build(SizeClass::Tiny).db;
         let cache = PlanCache::new();
-        let opts = ExecOptions::default();
         let sql = "SELECT s.class FROM specobj AS s";
-        let (_, hit_a) = cache.prepare("a", &db, sql, opts);
-        let (_, hit_b) = cache.prepare("b", &db, sql, opts);
+        let (_, hit_a) = cache.prepare("a", &db, sql);
+        let (_, hit_b) = cache.prepare("b", &db, sql);
         assert!(!hit_a && !hit_b, "different snapshots never share entries");
         assert_eq!(cache.len(), 2);
     }

@@ -289,7 +289,7 @@ impl QueryService {
             if let Some(rp) = rp.as_mut() {
                 rp.parse_us = (t_plan - t_parse).as_micros() as u64;
             }
-            match self.cache.prepare(&req.db, db, &req.sql, self.cfg.exec) {
+            match self.cache.prepare(&req.db, db, &req.sql) {
                 (Ok(p), hit) => (p, hit),
                 (Err(e), _) => {
                     let mut resp = QueryResponse::error(req.id, ErrorCode::ParseError, e);
@@ -307,7 +307,7 @@ impl QueryService {
                     if let Some(rp) = rp.as_mut() {
                         rp.parse_us = (t_plan - t_parse).as_micros() as u64;
                     }
-                    let plan = sb_engine::plan_top_select(db, &query, self.cfg.exec);
+                    let plan = sb_engine::plan_top_select(db, &query);
                     let normalized = query.to_string();
                     (
                         Arc::new(Prepared {

@@ -8,30 +8,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use sb_fuzz::exec_matrix;
 use sciencebenchmark::core::{Pipeline, PipelineConfig};
 use sciencebenchmark::data::{Domain, SizeClass};
 use sciencebenchmark::engine::{execute_reference, Database, EngineError, ExecOptions};
 use sciencebenchmark::schema::{Column, ColumnType, Schema, TableDef};
-
-/// Every execution configuration that must agree: the default
-/// (columnar batch engine, morsel-parallel where it pays), the compiled
-/// row pipeline, and the batch engine with forced multi-worker fan-out
-/// over tiny morsels.
-fn all_options() -> Vec<ExecOptions> {
-    vec![
-        ExecOptions::default(),
-        ExecOptions {
-            columnar: false,
-            parallel: false,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            workers: 3,
-            morsel_rows: 7,
-            ..ExecOptions::default()
-        },
-    ]
-}
 
 /// `sql`'s result under the reference interpreter, which every
 /// configuration must match (as a multiset, or as an ordered list under
@@ -127,7 +108,7 @@ fn join_strategies_agree_on_random_equi_joins_across_domains() {
                 "{}: `{sql}` differs from the reference interpreter",
                 domain.name()
             );
-            for opts in all_options() {
+            for (_, opts) in exec_matrix() {
                 let rs = d
                     .db
                     .run_with(&sql, opts)
@@ -161,7 +142,7 @@ fn pushdown_agrees_on_filtered_single_table_scans() {
                 "{}: `{sql}` differs from the reference interpreter",
                 domain.name()
             );
-            for opts in all_options() {
+            for (_, opts) in exec_matrix() {
                 assert_eq!(
                     d.db.run_with(&sql, opts).unwrap(),
                     reference,
@@ -226,7 +207,7 @@ fn obs_on_and_off_produce_identical_result_sets() {
     let run_all = || -> Vec<sciencebenchmark::engine::ResultSet> {
         let mut out = Vec::new();
         for sql in &queries {
-            for opts in all_options() {
+            for (_, opts) in exec_matrix() {
                 out.push(d.db.run_with(sql, opts).unwrap());
             }
         }
@@ -280,7 +261,7 @@ fn query_profiles_do_not_change_result_sets() {
     for _ in 0..30 {
         let sql = random_equi_join(&mut rng, schema, &edges);
         let query = sciencebenchmark::sql::parser::parse(&sql).unwrap();
-        for opts in all_options() {
+        for (_, opts) in exec_matrix() {
             let plain = execute_with_profile(&d.db, &query, opts, None).unwrap();
             let prof = QueryProfile::new();
             let profiled = execute_with_profile(&d.db, &query, opts, Some(&prof)).unwrap();
@@ -339,7 +320,7 @@ fn assert_uniform_error(db: &Database, sql: &str) -> EngineError {
         "`{sql}` must fail under the reference interpreter"
     );
     let mut first: Option<EngineError> = None;
-    for opts in all_options() {
+    for (_, opts) in exec_matrix() {
         let err = db
             .run_with(sql, opts)
             .err()
@@ -426,7 +407,7 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     let sql = "SELECT T1.x FROM a AS T1 JOIN b AS T2 ON T1.id = T2.id \
                WHERE T1.x = 'NOMATCH' AND T1.shared + T2.nope < 0";
     assert!(reference_result(&db, sql).rows.is_empty());
-    for opts in all_options() {
+    for (_, opts) in exec_matrix() {
         let rs = db
             .run_with(sql, opts)
             .unwrap_or_else(|e| panic!("`{sql}` must succeed under {opts:?}: {e}"));
