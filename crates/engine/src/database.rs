@@ -5,7 +5,7 @@ use crate::error::{EngineError, Result};
 use crate::exec::ExecOptions;
 use crate::result::ResultSet;
 use crate::value::Value;
-use sb_schema::{ColumnType, Schema, TableDef};
+use sb_schema::{ColumnType, DataProfile, Schema, TableDef};
 use std::sync::{Arc, OnceLock};
 
 /// One stored row. Rows are reference-counted so scans hand out handles
@@ -129,13 +129,32 @@ pub struct Database {
     /// The schema (shape + foreign keys).
     pub schema: Schema,
     tables: Vec<Table>,
+    /// Lazily built data profile, invalidated by [`Database::table_mut`].
+    /// A clone shares it: clones describe the same rows until one of
+    /// them is mutated.
+    profile: OnceLock<Arc<DataProfile>>,
 }
 
 impl Database {
     /// Create a database with empty tables for every table in the schema.
     pub fn new(schema: Schema) -> Self {
         let tables = schema.tables.iter().cloned().map(Table::new).collect();
-        Database { schema, tables }
+        Database {
+            schema,
+            tables,
+            profile: OnceLock::new(),
+        }
+    }
+
+    /// The data profile of this database ([`crate::profile_database`]),
+    /// built on first call and shared afterwards, so schema linkers,
+    /// value samplers and enhanced-schema inference scan the content once
+    /// per database rather than once per caller.
+    pub fn data_profile(&self) -> Arc<DataProfile> {
+        Arc::clone(
+            self.profile
+                .get_or_init(|| Arc::new(crate::profile_database(self))),
+        )
     }
 
     /// Look up a table's content by (case-insensitive) name.
@@ -145,8 +164,10 @@ impl Database {
             .find(|t| t.def.name.eq_ignore_ascii_case(name))
     }
 
-    /// Mutable table lookup.
+    /// Mutable table lookup. Drops the cached data profile: the caller
+    /// may change the table's rows.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+        self.profile = OnceLock::new();
         self.tables
             .iter_mut()
             .find(|t| t.def.name.eq_ignore_ascii_case(name))

@@ -60,7 +60,12 @@ fn lit_eq(a: &Value, b: &Value) -> bool {
 /// by hashed value identity and only the retained distinct values are
 /// rendered as literals — not one `String` per cell, which dominated
 /// profiling cost on the larger size classes.
+///
+/// This is a full scan; callers go through [`Database::data_profile`],
+/// which runs it once per database. Each call counts one
+/// `engine.data_profile.builds`.
 pub fn profile_database(db: &Database) -> DataProfile {
+    sb_obs::count("engine.data_profile.builds", 1);
     let mut profile = DataProfile::new();
     for table in db.tables() {
         profile.set_row_count(&table.def.name, table.len());

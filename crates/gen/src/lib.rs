@@ -26,12 +26,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use rayon::prelude::*;
-use sb_engine::{profile_database, Database};
+use sb_engine::Database;
 use sb_schema::{DataProfile, EnhancedSchema};
 use sb_semql::{Assignment, Template, TemplateError};
 use sb_sql::Query;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a single fill attempt failed. Attempt failures are expected and
 /// retried; they become interesting in aggregate (the generator reports
@@ -152,7 +153,7 @@ fn derive_seed(base: u64, round: u64, template_idx: u64) -> u64 {
 pub struct Generator<'a> {
     db: &'a Database,
     enhanced: &'a EnhancedSchema,
-    profile: DataProfile,
+    profile: Arc<DataProfile>,
     rng: StdRng,
     /// When `false`, the enhanced-schema constraints are ignored (ablation
     /// mode): aggregates, group-bys and math operands sample any
@@ -166,7 +167,7 @@ impl<'a> Generator<'a> {
         Generator {
             db,
             enhanced,
-            profile: profile_database(db),
+            profile: db.data_profile(),
             rng: StdRng::seed_from_u64(seed),
             use_enhanced_constraints: true,
         }
@@ -602,7 +603,7 @@ mod tests {
                 Value::Float(16.0 + i as f64 / 7.0),
             ]]);
         }
-        let profile = profile_database(&db);
+        let profile = db.data_profile();
         let mut enhanced = EnhancedSchema::infer(schema, &profile);
         // Manual refinement (the paper's one-shot expert pass): on a tiny
         // fixture the cardinality heuristic over-fires, so pin the flags.

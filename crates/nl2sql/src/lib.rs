@@ -21,8 +21,8 @@
 //!   (GraPPa-like schema-aware scoring).
 //!
 //! All three share the [`Linker`] front end: schema-name matching, a
-//! *learned* token→column lexicon, and a value index over database
-//! content.
+//! *learned* token→column lexicon, and value grounding against the
+//! target database's cached data profile (`Database::data_profile`).
 
 pub mod linker;
 pub mod smbop;

@@ -12,17 +12,16 @@
 //!    the schema elements of the gold SQL. Domain training data teaches
 //!    the system that "redshift" means `specobj.z` — the mechanism by
 //!    which seed/synthetic data lifts accuracy in Table 5.
-//! 3. **Value index** — frequent values of every text column are indexed
-//!    so that quoted or capitalized entities in the question ground to
-//!    `(table, column, value)` candidates (ValueNet's "learns from
-//!    database information").
+//! 3. **Value index** — the frequent values of every text column, from
+//!    the database's cached data profile, ground entities mentioned in
+//!    the question to `(table, column, value)` candidates (ValueNet's
+//!    "learns from database information").
 
 use crate::{is_stopword, Pair};
-use sb_engine::{profile_database, Database};
-use sb_schema::{ColumnType, DataProfile};
+use sb_engine::Database;
+use sb_schema::{ColumnType, Schema};
 use sb_sql::Literal;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// A linked schema column with a confidence score.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,27 +62,12 @@ impl LinkResult {
     }
 }
 
-/// The trainable linker.
-#[derive(Debug, Default)]
+/// The trainable linker. Value grounding reads the target database's
+/// [`Database::data_profile`], which the database caches itself.
+#[derive(Debug, Clone, Default)]
 pub struct Linker {
     /// token → (db, table, column) → votes.
     lexicon: HashMap<String, HashMap<(String, String, String), f64>>,
-    /// Cached data profiles per database name (interior mutability so
-    /// that linking — a read-only operation conceptually — can run on
-    /// `&self`; a `Mutex` rather than `RefCell` so predictions can run
-    /// from parallel evaluation workers).
-    profiles: Mutex<HashMap<String, Arc<DataProfile>>>,
-}
-
-impl Clone for Linker {
-    fn clone(&self) -> Self {
-        Linker {
-            lexicon: self.lexicon.clone(),
-            // The profile cache is derived data; a clone starts cold and
-            // repopulates on demand.
-            profiles: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Linker {
@@ -172,6 +156,9 @@ impl Linker {
                 _ => {}
             }
         }
+        let schema_names: Vec<String> = identifiers(&db.schema)
+            .map(|name| name.to_ascii_lowercase())
+            .collect();
         let tokens = sb_embed::tokenize(&pair.nl);
         for token in tokens {
             if is_stopword(&token) || token.len() < 3 || literal_tokens.contains(&token) {
@@ -182,16 +169,10 @@ impl Linker {
             // must mirror the linker's matching (including singular/plural
             // folding), otherwise "stadium" accumulates junk votes because
             // the table is called "stadiums".
-            let names_schema = db.schema.tables.iter().any(|t| {
-                name_tokens(&t.name)
-                    .iter()
-                    .any(|p| p == &token || singular_eq(p, &token))
-                    || t.columns.iter().any(|c| {
-                        name_tokens(&c.name)
-                            .iter()
-                            .any(|p| p == &token || singular_eq(p, &token))
-                    })
-            });
+            let names_schema = schema_names
+                .iter()
+                .flat_map(|name| name_parts(name))
+                .any(|p| p == token || singular_eq(p, &token));
             if names_schema {
                 continue;
             }
@@ -242,21 +223,9 @@ impl Linker {
         out
     }
 
-    /// The (cached) data profile of a database.
-    pub fn profile(&self, db: &Database) -> Arc<DataProfile> {
-        Arc::clone(
-            self.profiles
-                .lock()
-                .expect("profile cache lock poisoned")
-                .entry(db.schema.name.to_ascii_lowercase())
-                .or_insert_with(|| Arc::new(profile_database(db))),
-        )
-    }
-
     /// Link a question against a target database.
     pub fn link(&self, question: &str, db: &Database) -> LinkResult {
-        let profile = self.profile(db);
-        let _q_lower = question.to_lowercase();
+        let profile = db.data_profile();
         let mut tokens = sb_embed::tokenize(question);
         // Compound-name matching: "neighbor mode" should link to a column
         // called `neighbormode`, so adjacent-token concatenations join the
@@ -271,39 +240,40 @@ impl Linker {
         let mut table_score: HashMap<String, f64> = HashMap::new();
         let mut col_score: HashMap<(String, String), f64> = HashMap::new();
 
-        // 1. Name matching.
+        // 1. Name matching. Each token's singular form is split off once
+        // per call, each identifier part's once per identifier.
+        let singulars: Vec<Singular> = tokens.iter().map(|tok| Singular::of(tok)).collect();
+        let mentioned = |part: &str| {
+            let singular = Singular::of(part);
+            tokens
+                .iter()
+                .zip(&singulars)
+                .any(|(tok, s)| tok == part || *s == singular)
+        };
         for t in &db.schema.tables {
             let t_lower = t.name.to_ascii_lowercase();
-            for part in name_tokens(&t.name) {
-                if part.len() >= 3
-                    && tokens
-                        .iter()
-                        .any(|tok| tok == &part || singular_eq(tok, &part))
-                {
+            for part in name_parts(&t_lower) {
+                if part.len() >= 3 && mentioned(part) {
                     *table_score.entry(t_lower.clone()).or_insert(0.0) += 1.0;
                 }
             }
             for c in &t.columns {
-                let parts = name_tokens(&c.name);
-                let mut hit = 0usize;
-                for part in &parts {
-                    if tokens
-                        .iter()
-                        .any(|tok| tok == part || singular_eq(tok, part))
-                    {
+                let c_lower = c.name.to_ascii_lowercase();
+                let (mut hit, mut parts) = (0usize, 0usize);
+                for part in name_parts(&c_lower) {
+                    parts += 1;
+                    if mentioned(part) {
                         hit += 1;
                     }
                 }
                 if hit > 0 {
-                    let frac = hit as f64 / parts.len() as f64;
+                    let frac = hit as f64 / parts as f64;
                     if frac >= 0.5 {
                         // A full multi-part match ("stadium id" →
                         // `stadium_id`) is far stronger evidence than a
                         // single generic part ("id" → `id`).
                         let strength = 1.2 * hit as f64 * frac;
-                        *col_score
-                            .entry((t_lower.clone(), c.name.to_ascii_lowercase()))
-                            .or_insert(0.0) += strength;
+                        *col_score.entry((t_lower.clone(), c_lower)).or_insert(0.0) += strength;
                         *table_score.entry(t_lower.clone()).or_insert(0.0) += 0.3 * strength;
                     }
                 }
@@ -344,15 +314,6 @@ impl Linker {
         //    whole-token sequences, never raw substrings — otherwise the
         //    value 'REC' grounds inside the word "records".
         let plain_tokens = sb_embed::tokenize(question);
-        let contains_token_seq = |needle: &str| -> bool {
-            let n: Vec<String> = sb_embed::tokenize(needle);
-            if n.is_empty() {
-                return false;
-            }
-            plain_tokens
-                .windows(n.len())
-                .any(|w| w.iter().zip(&n).all(|(a, b)| a == b))
-        };
         let mut values = Vec::new();
         for t in &db.schema.tables {
             for c in &t.columns {
@@ -362,7 +323,7 @@ impl Linker {
                 if let Some(p) = profile.column(&t.name, &c.name) {
                     for lit in &p.frequent_values {
                         let inner = lit.trim_matches('\'').to_lowercase();
-                        if inner.len() >= 2 && contains_token_seq(&inner) {
+                        if inner.len() >= 2 && contains_token_seq(&plain_tokens, &inner) {
                             values.push((
                                 t.name.to_ascii_lowercase(),
                                 c.name.to_ascii_lowercase(),
@@ -429,44 +390,79 @@ impl Linker {
     }
 }
 
-/// Underscore-split lower-case parts of an identifier.
-pub(crate) fn name_tokens(name: &str) -> Vec<String> {
-    name.to_ascii_lowercase()
-        .split('_')
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect()
+/// Every table and column name of a schema.
+pub(crate) fn identifiers(schema: &Schema) -> impl Iterator<Item = &String> {
+    schema
+        .tables
+        .iter()
+        .flat_map(|t| std::iter::once(&t.name).chain(t.columns.iter().map(|c| &c.name)))
+}
+
+/// Underscore-split parts of an identifier that is already
+/// ASCII-lowercased.
+pub(crate) fn name_parts(lower: &str) -> impl Iterator<Item = &str> {
+    lower.split('_').filter(|p| !p.is_empty())
 }
 
 /// Whether all name parts of `column` are mentioned in the question
 /// tokens (bigram-concatenations included).
 pub fn column_mentioned(question_tokens: &[String], column: &str) -> bool {
-    let parts = name_tokens(column);
-    if parts.is_empty() {
-        return false;
-    }
-    parts
-        .iter()
-        .all(|p| question_tokens.iter().any(|t| t == p || singular_eq(t, p)))
+    let lower = column.to_ascii_lowercase();
+    let mut parts = name_parts(&lower).peekable();
+    parts.peek().is_some()
+        && parts.all(|p| question_tokens.iter().any(|t| t == p || singular_eq(t, p)))
 }
 
-/// Public alias of [`singular_eq`] for sibling modules.
-pub(crate) fn singular_eq_pub(a: &str, b: &str) -> bool {
-    singular_eq(a, b)
+/// A word's crude singular form as two slices, `base` then `suffix`
+/// ("galaxies" → "galax" + "y", "pets" → "pet" + ""), so comparing
+/// singular forms builds no `String`.
+#[derive(Clone, Copy)]
+struct Singular<'a> {
+    base: &'a str,
+    suffix: &'static str,
+}
+
+impl<'a> Singular<'a> {
+    fn of(word: &'a str) -> Self {
+        let (base, suffix) = if let Some(base) = word.strip_suffix("ies") {
+            (base, "y")
+        } else if let Some(base) = word.strip_suffix('s') {
+            (base, "")
+        } else {
+            (word, "")
+        };
+        Singular { base, suffix }
+    }
+
+    fn bytes(&self) -> impl Iterator<Item = u8> + 'a {
+        self.base.bytes().chain(self.suffix.bytes())
+    }
+}
+
+impl PartialEq for Singular<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.base.len() + self.suffix.len() == other.base.len() + other.suffix.len()
+            && self.bytes().eq(other.bytes())
+    }
 }
 
 /// Crude singular/plural equivalence ("galaxies"/"galaxy", "pets"/"pet").
 pub(crate) fn singular_eq(a: &str, b: &str) -> bool {
-    let strip = |s: &str| -> String {
-        if let Some(base) = s.strip_suffix("ies") {
-            format!("{base}y")
-        } else if let Some(base) = s.strip_suffix('s') {
-            base.to_string()
-        } else {
-            s.to_string()
-        }
-    };
-    strip(a) == strip(b)
+    Singular::of(a) == Singular::of(b)
+}
+
+/// Whether the tokens of `needle` — split as [`sb_embed::tokenize`]
+/// splits, taken as slices of `needle`, which must already be lowercase —
+/// occur as a contiguous run of `haystack`. An empty needle never occurs.
+fn contains_token_seq(haystack: &[String], needle: &str) -> bool {
+    let parts = needle
+        .split(|c: char| !c.is_alphanumeric())
+        .filter(|p| !p.is_empty());
+    parts.clone().next().is_some()
+        && (0..haystack.len()).any(|start| {
+            let mut run = haystack[start..].iter();
+            parts.clone().all(|p| run.next().is_some_and(|t| t == p))
+        })
 }
 
 fn literal_len(l: &Literal) -> usize {
@@ -605,6 +601,139 @@ mod tests {
         assert_eq!(extract_numbers("between 0.5 and 1"), vec![0.5, 1.0]);
         assert_eq!(extract_numbers("top 5 results"), vec![5.0]);
         assert!(extract_numbers("no numbers here.").is_empty());
+    }
+
+    fn pets_db(animal: &str) -> Database {
+        let mut db = Database::new(Schema::new("pets").with_table(TableDef::new(
+            "pet",
+            vec![Column::new("kind", ColumnType::Text)],
+        )));
+        db.table_mut("pet")
+            .unwrap()
+            .push_rows(vec![vec![animal.into()]]);
+        db
+    }
+
+    #[test]
+    fn same_named_databases_ground_their_own_values() {
+        let l = Linker::new();
+        let cats = l.link("show cat", &pets_db("cat"));
+        assert_eq!(cats.values.len(), 1);
+        let dogs = l.link("show dog", &pets_db("dog"));
+        assert_eq!(
+            dogs.values,
+            vec![("pet".into(), "kind".into(), Literal::Str("dog".into()))],
+            "the second `pets` database must be profiled on its own content"
+        );
+    }
+
+    /// The allocating `singular_eq` the slice comparison replaced.
+    fn singular_eq_reference(a: &str, b: &str) -> bool {
+        let strip = |s: &str| -> String {
+            if let Some(base) = s.strip_suffix("ies") {
+                format!("{base}y")
+            } else if let Some(base) = s.strip_suffix('s') {
+                base.to_string()
+            } else {
+                s.to_string()
+            }
+        };
+        strip(a) == strip(b)
+    }
+
+    /// The value matcher the slice walk replaced: tokenize the lowercased
+    /// literal into owned tokens, then slide a window over the question.
+    fn value_matches_reference(question: &str, lit: &str) -> bool {
+        let plain = sb_embed::tokenize(question);
+        let n = sb_embed::tokenize(&lit.trim_matches('\'').to_lowercase());
+        !n.is_empty()
+            && plain
+                .windows(n.len())
+                .any(|w| w.iter().zip(&n).all(|(a, b)| a == b))
+    }
+
+    const WORDS: &[&str] = &[
+        "galaxies",
+        "galaxy",
+        "pets",
+        "pet",
+        "ies",
+        "y",
+        "s",
+        "",
+        "class",
+        "clas",
+        "series",
+        "serie",
+        "sery",
+        "naïves",
+        "naïve",
+        "ΟΔΟΣ",
+        "οδος",
+        "οδοσ",
+        "İstanbul",
+        "i̇stanbul",
+    ];
+
+    #[test]
+    fn singular_eq_matches_allocating_reference() {
+        for a in WORDS {
+            for b in WORDS {
+                assert_eq!(
+                    singular_eq(a, b),
+                    singular_eq_reference(a, b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        assert!(singular_eq("galaxies", "galaxy") && singular_eq("pets", "pet"));
+    }
+
+    #[test]
+    fn value_matching_matches_tokenizing_reference() {
+        let questions = [
+            "show all GALAXY entries",
+            "galaxies in the series",
+            "naïves and naïve",
+            "the ΟΔΟΣ street",
+            "streets named οδος",
+            "flights to İstanbul",
+            "flights to istanbul",
+            "",
+        ];
+        let values = [
+            "'GALAXY'",
+            "'galaxy entries'",
+            "'Series'",
+            "'NAÏVES'",
+            "'ΟΔΟΣ'",
+            "'οδοσ'",
+            "'İstanbul'",
+            "'istanbul'",
+            "''",
+            "'-'",
+            "'a b'",
+            "'show all'",
+        ];
+        for q in questions {
+            let plain = sb_embed::tokenize(q);
+            for v in values {
+                let inner = v.trim_matches('\'').to_lowercase();
+                assert_eq!(
+                    contains_token_seq(&plain, &inner),
+                    value_matches_reference(q, v),
+                    "{q:?} vs {v:?}"
+                );
+            }
+        }
+        // The tokenizer lowercases each character again; matching slices
+        // of already-lowercased text agrees with it only because
+        // lowercasing is idempotent on every character lowercasing emits.
+        for c in (0..=char::MAX as u32).filter_map(char::from_u32) {
+            for l in c.to_lowercase() {
+                assert!(l.to_lowercase().eq([l]), "{c:?} lowercases to {l:?}");
+            }
+        }
     }
 
     #[test]

@@ -396,11 +396,11 @@ impl QuestionCues {
 
 /// First token index at which a column is mentioned, or `None`.
 fn mention_pos(q_tokens: &[String], column: &str) -> Option<usize> {
-    let parts = crate::linker::name_tokens(column);
-    let first = parts.first()?;
+    let lower = column.to_ascii_lowercase();
+    let first = crate::linker::name_parts(&lower).next()?;
     q_tokens
         .iter()
-        .position(|t| t == first || crate::linker::singular_eq_pub(t, first))
+        .position(|t| t == first || crate::linker::singular_eq(t, first))
 }
 
 /// What [`score_features`] needs to know about the question, computed

@@ -12,13 +12,14 @@
 //! always emits executable SQL; whether it is the *right* SQL depends on
 //! how well linking worked.
 
-use crate::linker::{column_mentioned, name_tokens, LinkResult, Linker};
+use crate::linker::{column_mentioned, identifiers, name_parts, LinkResult, Linker};
 use crate::{DbCatalog, NlToSql, Pair};
 use sb_embed::{embed, Embedding};
 use sb_engine::Database;
 use sb_schema::ColumnType;
 use sb_semql::{Assignment, Template, ValueKind};
 use sb_sql::Literal;
+use std::collections::HashSet;
 
 /// A trained sketch: delexicalized-question embedding + template.
 #[derive(Debug, Clone)]
@@ -72,6 +73,13 @@ impl ValueNetSim {
                 _ => Vec::new(),
             })
             .collect();
+        // Question tokens equal to a part of a schema identifier or of a
+        // linked column's name become `col`.
+        let names: Vec<String> = identifiers(&db.schema)
+            .chain(link.columns.iter().map(|c| &c.column))
+            .map(|name| name.to_ascii_lowercase())
+            .collect();
+        let name_part_set: HashSet<&str> = names.iter().flat_map(|n| name_parts(n)).collect();
         for tok in sb_embed::tokenize(question) {
             let is_number = tok.chars().all(|c| c.is_ascii_digit());
             if is_number {
@@ -82,17 +90,7 @@ impl ValueNetSim {
                 out.push("val".to_string());
                 continue;
             }
-            let names_schema = db.schema.tables.iter().any(|t| {
-                name_tokens(&t.name).contains(&tok)
-                    || t.columns
-                        .iter()
-                        .any(|c| name_tokens(&c.name).contains(&tok))
-            });
-            let linked = link
-                .columns
-                .iter()
-                .any(|c| name_tokens(&c.column).contains(&tok));
-            if names_schema || linked {
+            if name_part_set.contains(tok.as_str()) {
                 out.push("col".to_string());
             } else {
                 out.push(tok);
@@ -116,7 +114,7 @@ impl ValueNetSim {
         rotation: usize,
     ) -> Option<(String, f64)> {
         let schema = &db.schema;
-        let profile = self.linker.profile(db);
+        let profile = db.data_profile();
         let mut score = 0.0f64;
 
         // ---- tables ----

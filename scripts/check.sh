@@ -65,6 +65,10 @@ grep -q '"pipeline.pairs_emitted"' "$report" || {
     echo "profile_run report is missing pipeline counters" >&2
     exit 1
 }
+grep -q '"engine.data_profile.builds"' "$report" || {
+    echo "profile_run report is missing the data-profile build counter" >&2
+    exit 1
+}
 
 stage "columnar smoke: batch engine live under default options"
 # ExecOptions::default() has columnar on; the report must carry batch
