@@ -57,9 +57,11 @@ fn lit_eq(a: &Value, b: &Value) -> bool {
 }
 
 /// Profile every column of every table in `db`. Frequencies are counted
-/// by hashed value identity and only the retained distinct values are
-/// rendered as literals — not one `String` per cell, which dominated
-/// profiling cost on the larger size classes.
+/// by hashed value identity, and only the retained frequent values get a
+/// `String` of their own (see [`most_frequent`]) — not one per cell or
+/// per distinct value, which dominated profiling cost on the larger size
+/// classes and, once profiles are kept, fragmented the heap around the
+/// few strings that survive.
 ///
 /// This is a full scan; callers go through [`Database::data_profile`],
 /// which runs it once per database. Each call counts one
@@ -93,11 +95,7 @@ pub fn profile_database(db: &Database) -> DataProfile {
                 }
             }
             let distinct = freq.len();
-            let mut by_freq: Vec<(String, usize)> =
-                freq.into_iter().map(|(v, n)| (sql_literal(v), n)).collect();
-            // Most frequent first; ties broken by value for determinism.
-            by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            by_freq.truncate(FREQUENT_VALUES);
+            let frequent_values = most_frequent(freq);
             profile.insert(
                 &table.def.name,
                 &col.name,
@@ -106,7 +104,7 @@ pub fn profile_database(db: &Database) -> DataProfile {
                     distinct,
                     min: saw_numeric.then_some(min),
                     max: saw_numeric.then_some(max),
-                    frequent_values: by_freq.into_iter().map(|(v, _)| v).collect(),
+                    frequent_values,
                 },
             );
         }
@@ -114,22 +112,60 @@ pub fn profile_database(db: &Database) -> DataProfile {
     profile
 }
 
+/// The [`FREQUENT_VALUES`] most frequent values of a column as literals,
+/// most frequent first, ties broken by literal. Each value is rendered
+/// into one reused buffer and only the retained ones are copied out, so
+/// a column of many distinct values allocates a handful of `String`s,
+/// not one per distinct value.
+fn most_frequent(freq: Vec<(&Value, usize)>) -> Vec<String> {
+    let mut top: Vec<(usize, String)> = Vec::with_capacity(FREQUENT_VALUES + 1);
+    let mut buf = String::new();
+    for (v, n) in freq {
+        if top.len() == FREQUENT_VALUES && n < top[FREQUENT_VALUES - 1].0 {
+            continue;
+        }
+        buf.clear();
+        write_sql_literal(&mut buf, v);
+        // Distinct values render distinct literals, so (count desc,
+        // literal asc) is a total order and the kept set is exact.
+        let pos = top.partition_point(|(c, l)| *c > n || (*c == n && l.as_str() < buf.as_str()));
+        if pos < FREQUENT_VALUES {
+            top.insert(pos, (n, buf.clone()));
+            top.truncate(FREQUENT_VALUES);
+        }
+    }
+    top.into_iter().map(|(_, lit)| lit).collect()
+}
+
 /// Render a value as a SQL literal (the form the value sampler splices into
 /// generated queries).
 pub fn sql_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
+    let mut out = String::new();
+    write_sql_literal(&mut out, v);
+    out
+}
+
+/// [`sql_literal`], appended to `out`.
+fn write_sql_literal(out: &mut String, v: &Value) {
+    use std::fmt::Write as _;
+    let _ = match v {
+        Value::Null => out.write_str("NULL"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{f:.1}"),
+        Value::Float(f) => write!(out, "{f}"),
+        Value::Text(s) => {
+            out.push('\'');
+            for ch in s.chars() {
+                if ch == '\'' {
+                    out.push('\'');
+                }
+                out.push(ch);
             }
+            out.push('\'');
+            Ok(())
         }
-        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-    }
+        Value::Bool(b) => out.write_str(if *b { "TRUE" } else { "FALSE" }),
+    };
 }
 
 #[cfg(test)]
@@ -162,6 +198,88 @@ mod tests {
         assert_eq!(z.min, Some(0.5));
         assert_eq!(z.max, Some(1.5));
         assert_eq!(p.row_count("x"), Some(3));
+    }
+
+    /// The selection `most_frequent` replaced: render every distinct
+    /// value, sort by (count desc, literal asc), keep the first ones.
+    fn most_frequent_reference(freq: &[(&Value, usize)]) -> Vec<String> {
+        let mut by_freq: Vec<(String, usize)> =
+            freq.iter().map(|(v, n)| (sql_literal(v), *n)).collect();
+        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        by_freq.truncate(FREQUENT_VALUES);
+        by_freq.into_iter().map(|(v, _)| v).collect()
+    }
+
+    /// The `format!`-based renderer `write_sql_literal` replaced.
+    fn sql_literal_reference(v: &Value) -> String {
+        match v {
+            Value::Null => "NULL".to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Float(f) => {
+                if f.fract() == 0.0 && f.abs() < 1e15 {
+                    format!("{f:.1}")
+                } else {
+                    format!("{f}")
+                }
+            }
+            Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
+            Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+        }
+    }
+
+    #[test]
+    fn sql_literal_matches_format_reference() {
+        for v in [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(0),
+            Value::Float(3.0),
+            Value::Float(-0.0),
+            Value::Float(2.22),
+            Value::Float(1e15),
+            Value::Float(1e300),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Text(String::new()),
+            Value::Text("it's 'quoted''".into()),
+            Value::Text("naïve Σ".into()),
+            Value::Bool(false),
+        ] {
+            assert_eq!(sql_literal(&v), sql_literal_reference(&v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn most_frequent_matches_sort_and_truncate() {
+        let values: Vec<Value> = (0..200i64)
+            .map(|i| match i % 5 {
+                0 => Value::Int(i * 7 % 61 - 30),
+                1 => Value::Float(i as f64 / 8.0),
+                2 => Value::Text(format!("v{}'{}", i % 13, i)),
+                3 => Value::Text(format!("{}", 997 * i % 101)),
+                _ => Value::Float(-(i as f64)),
+            })
+            .collect();
+        for (len, modulus) in [
+            (0, 1),
+            (5, 3),
+            (24, 2),
+            (25, 1),
+            (200, 1),
+            (200, 4),
+            (200, 9),
+        ] {
+            let freq: Vec<(&Value, usize)> = values[..len]
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v, 1 + (i * 31 + 7) % modulus))
+                .collect();
+            assert_eq!(
+                most_frequent(freq.clone()),
+                most_frequent_reference(&freq),
+                "{len} values, counts mod {modulus}"
+            );
+        }
     }
 
     #[test]
