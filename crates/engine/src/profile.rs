@@ -57,11 +57,10 @@ fn lit_eq(a: &Value, b: &Value) -> bool {
 }
 
 /// Profile every column of every table in `db`. Frequencies are counted
-/// by hashed value identity, and only the retained frequent values get a
-/// `String` of their own (see [`most_frequent`]) — not one per cell or
-/// per distinct value, which dominated profiling cost on the larger size
-/// classes and, once profiles are kept, fragmented the heap around the
-/// few strings that survive.
+/// by hashed value identity rather than by rendering every cell, and
+/// [`most_frequent`] renders one literal at a time, so the few literals a
+/// cached profile keeps are not scattered among thousands of freed ones,
+/// which holds on to heap pages and raises peak RSS.
 ///
 /// This is a full scan; callers go through [`Database::data_profile`],
 /// which runs it once per database. Each call counts one
@@ -113,24 +112,20 @@ pub fn profile_database(db: &Database) -> DataProfile {
 }
 
 /// The [`FREQUENT_VALUES`] most frequent values of a column as literals,
-/// most frequent first, ties broken by literal. Each value is rendered
-/// into one reused buffer and only the retained ones are copied out, so
-/// a column of many distinct values allocates a handful of `String`s,
-/// not one per distinct value.
+/// most frequent first, ties broken by literal: a bounded ordered list,
+/// so each rendered literal is dropped at once unless it is kept.
 fn most_frequent(freq: Vec<(&Value, usize)>) -> Vec<String> {
     let mut top: Vec<(usize, String)> = Vec::with_capacity(FREQUENT_VALUES + 1);
-    let mut buf = String::new();
     for (v, n) in freq {
         if top.len() == FREQUENT_VALUES && n < top[FREQUENT_VALUES - 1].0 {
             continue;
         }
-        buf.clear();
-        write_sql_literal(&mut buf, v);
+        let lit = sql_literal(v);
         // Distinct values render distinct literals, so (count desc,
-        // literal asc) is a total order and the kept set is exact.
-        let pos = top.partition_point(|(c, l)| *c > n || (*c == n && l.as_str() < buf.as_str()));
+        // literal asc) is a total order and the kept list is exact.
+        let pos = top.partition_point(|(c, l)| *c > n || (*c == n && *l < lit));
         if pos < FREQUENT_VALUES {
-            top.insert(pos, (n, buf.clone()));
+            top.insert(pos, (n, lit));
             top.truncate(FREQUENT_VALUES);
         }
     }
@@ -140,32 +135,19 @@ fn most_frequent(freq: Vec<(&Value, usize)>) -> Vec<String> {
 /// Render a value as a SQL literal (the form the value sampler splices into
 /// generated queries).
 pub fn sql_literal(v: &Value) -> String {
-    let mut out = String::new();
-    write_sql_literal(&mut out, v);
-    out
-}
-
-/// [`sql_literal`], appended to `out`.
-fn write_sql_literal(out: &mut String, v: &Value) {
-    use std::fmt::Write as _;
-    let _ = match v {
-        Value::Null => out.write_str("NULL"),
-        Value::Int(i) => write!(out, "{i}"),
-        Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{f:.1}"),
-        Value::Float(f) => write!(out, "{f}"),
-        Value::Text(s) => {
-            out.push('\'');
-            for ch in s.chars() {
-                if ch == '\'' {
-                    out.push('\'');
-                }
-                out.push(ch);
+    match v {
+        Value::Null => "NULL".to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Float(f) => {
+            if f.fract() == 0.0 && f.abs() < 1e15 {
+                format!("{f:.1}")
+            } else {
+                format!("{f}")
             }
-            out.push('\'');
-            Ok(())
         }
-        Value::Bool(b) => out.write_str(if *b { "TRUE" } else { "FALSE" }),
-    };
+        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -208,45 +190,6 @@ mod tests {
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         by_freq.truncate(FREQUENT_VALUES);
         by_freq.into_iter().map(|(v, _)| v).collect()
-    }
-
-    /// The `format!`-based renderer `write_sql_literal` replaced.
-    fn sql_literal_reference(v: &Value) -> String {
-        match v {
-            Value::Null => "NULL".to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    format!("{f:.1}")
-                } else {
-                    format!("{f}")
-                }
-            }
-            Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-            Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-        }
-    }
-
-    #[test]
-    fn sql_literal_matches_format_reference() {
-        for v in [
-            Value::Null,
-            Value::Int(i64::MIN),
-            Value::Int(0),
-            Value::Float(3.0),
-            Value::Float(-0.0),
-            Value::Float(2.22),
-            Value::Float(1e15),
-            Value::Float(1e300),
-            Value::Float(f64::NAN),
-            Value::Float(f64::NEG_INFINITY),
-            Value::Text(String::new()),
-            Value::Text("it's 'quoted''".into()),
-            Value::Text("naïve Σ".into()),
-            Value::Bool(false),
-        ] {
-            assert_eq!(sql_literal(&v), sql_literal_reference(&v), "{v:?}");
-        }
     }
 
     #[test]

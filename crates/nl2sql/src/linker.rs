@@ -240,15 +240,15 @@ impl Linker {
         let mut table_score: HashMap<String, f64> = HashMap::new();
         let mut col_score: HashMap<(String, String), f64> = HashMap::new();
 
-        // 1. Name matching. Each token's singular form is split off once
-        // per call, each identifier part's once per identifier.
-        let singulars: Vec<Singular> = tokens.iter().map(|tok| Singular::of(tok)).collect();
+        // 1. Name matching. Each token's and each identifier part's
+        // singular form is split off once per call.
+        let singulars: Vec<(&str, &str)> = tokens.iter().map(|tok| singular(tok)).collect();
         let mentioned = |part: &str| {
-            let singular = Singular::of(part);
+            let part_singular = singular(part);
             tokens
                 .iter()
                 .zip(&singulars)
-                .any(|(tok, s)| tok == part || *s == singular)
+                .any(|(tok, &s)| tok == part || same_singular(s, part_singular))
         };
         for t in &db.schema.tables {
             let t_lower = t.name.to_ascii_lowercase();
@@ -413,42 +413,30 @@ pub fn column_mentioned(question_tokens: &[String], column: &str) -> bool {
         && parts.all(|p| question_tokens.iter().any(|t| t == p || singular_eq(t, p)))
 }
 
-/// A word's crude singular form as two slices, `base` then `suffix`
-/// ("galaxies" → "galax" + "y", "pets" → "pet" + ""), so comparing
-/// singular forms builds no `String`.
-#[derive(Clone, Copy)]
-struct Singular<'a> {
-    base: &'a str,
-    suffix: &'static str,
-}
-
-impl<'a> Singular<'a> {
-    fn of(word: &'a str) -> Self {
-        let (base, suffix) = if let Some(base) = word.strip_suffix("ies") {
-            (base, "y")
-        } else if let Some(base) = word.strip_suffix('s') {
-            (base, "")
-        } else {
-            (word, "")
-        };
-        Singular { base, suffix }
-    }
-
-    fn bytes(&self) -> impl Iterator<Item = u8> + 'a {
-        self.base.bytes().chain(self.suffix.bytes())
+/// A word's crude singular form as `(base, suffix)` slices ("galaxies" →
+/// ("galax", "y"), "pets" → ("pet", "")), so comparing singular forms
+/// builds no `String`.
+fn singular(word: &str) -> (&str, &'static str) {
+    if let Some(base) = word.strip_suffix("ies") {
+        (base, "y")
+    } else if let Some(base) = word.strip_suffix('s') {
+        (base, "")
+    } else {
+        (word, "")
     }
 }
 
-impl PartialEq for Singular<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.base.len() + self.suffix.len() == other.base.len() + other.suffix.len()
-            && self.bytes().eq(other.bytes())
-    }
+/// Whether two [`singular`] forms spell the same word.
+fn same_singular((a, a_suffix): (&str, &str), (b, b_suffix): (&str, &str)) -> bool {
+    a.len() + a_suffix.len() == b.len() + b_suffix.len()
+        && a.bytes()
+            .chain(a_suffix.bytes())
+            .eq(b.bytes().chain(b_suffix.bytes()))
 }
 
 /// Crude singular/plural equivalence ("galaxies"/"galaxy", "pets"/"pet").
 pub(crate) fn singular_eq(a: &str, b: &str) -> bool {
-    Singular::of(a) == Singular::of(b)
+    same_singular(singular(a), singular(b))
 }
 
 /// Whether the tokens of `needle` — split as [`sb_embed::tokenize`]
