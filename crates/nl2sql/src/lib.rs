@@ -29,6 +29,9 @@ pub mod smbop;
 pub mod t5sim;
 pub mod valuenet;
 
+#[cfg(test)]
+mod released;
+
 pub use linker::{LinkResult, Linker};
 pub use smbop::SmBopSim;
 pub use t5sim::T5Sim;

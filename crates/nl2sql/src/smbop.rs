@@ -13,6 +13,14 @@
 //! grammar (deep nesting, multi-joins beyond two hops) are simply
 //! unreachable — mirroring the ceiling real bottom-up decoders hit on the
 //! extra-hard class.
+//!
+//! Only a candidate that executes can be chosen, but execution is the
+//! expensive part of the decoder, so it is checked lazily: every
+//! candidate is scored without running it, and `Database::check_query`
+//! then runs on candidates in winner order, stopping at the first that
+//! executes. A failing candidate keeps its score minus 10 and the argmax
+//! is retaken, which picks exactly what checking every candidate up
+//! front would pick (see `predict`).
 
 use crate::linker::{column_mentioned, LinkResult, Linker};
 use crate::{DbCatalog, NlToSql, Pair};
@@ -329,6 +337,37 @@ impl SmBopSim {
             }
         }
         out
+    }
+
+    /// Every enumerated candidate with its two score parts, unchecked:
+    /// `0.5·cos` between the question and the candidate's realization,
+    /// and the shape/mention features. Empty when nothing enumerates.
+    fn scored_candidates(&self, question: &str, db: &Database) -> Vec<(f64, f64, Query)> {
+        let link = self.linker.link(question, db);
+        let candidates = self.enumerate(&link, db, question);
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        // Realization-based scoring with learned domain vocabulary.
+        let mut enhanced = EnhancedSchema::new(db.schema.clone());
+        for (table, column, token) in self.linker.learned_aliases(&db.schema.name) {
+            enhanced.set_column_alias(&table, &column, &token);
+        }
+        let realizer = Realizer::new(&enhanced);
+        let q_embed = embed(question);
+        let q_tokens = sb_embed::tokenize(question);
+        let cues = QuestionCues::of(question);
+        let facts = QuestionFacts::of(&q_tokens, &link, &db.schema);
+        candidates
+            .into_iter()
+            .map(|c| {
+                let text = realizer.realize(&c, Style::reference());
+                let cos = 0.5 * q_embed.cosine(&embed(&text)) as f64;
+                let feat = score_features(&c, &facts, &cues, &link);
+                debug_assert!(cos.is_finite() && feat.is_finite(), "{c}");
+                (cos, feat, c)
+            })
+            .collect()
     }
 }
 
@@ -777,56 +816,153 @@ impl NlToSql for SmBopSim {
     }
 
     fn predict(&self, question: &str, db: &Database) -> String {
-        let link = self.linker.link(question, db);
-        let candidates = self.enumerate(&link, db, question);
-        if candidates.is_empty() {
-            return format!(
-                "SELECT * FROM {}",
-                db.schema
-                    .tables
-                    .first()
-                    .map(|t| t.name.clone())
-                    .unwrap_or_else(|| "unknown".into())
-            );
+        let scored = self.scored_candidates(question, db);
+        if scored.is_empty() {
+            return fallback_sql(db);
         }
-        // Realization-based scoring with learned domain vocabulary.
-        let mut enhanced = EnhancedSchema::new(db.schema.clone());
-        for (table, column, token) in self.linker.learned_aliases(&db.schema.name) {
-            enhanced.set_column_alias(&table, &column, &token);
-        }
-        let realizer = Realizer::new(&enhanced);
-        let q_embed = embed(question);
-        let q_tokens = sb_embed::tokenize(question);
-        let cues = QuestionCues::of(question);
-        let facts = QuestionFacts::of(&q_tokens, &link, &db.schema);
-        let best = candidates
-            .into_iter()
-            .map(|c| {
-                // Skip candidates that do not execute (bottom-up
-                // construction is schema-typed, so this is rare). Only
-                // validity matters, so no result rows are built.
-                let exec_ok = db.check_query(&c).is_ok();
-                let text = realizer.realize(&c, Style::reference());
-                let mut score = 0.5 * q_embed.cosine(&embed(&text)) as f64;
-                if !exec_ok {
-                    score -= 10.0;
-                }
-                score += score_features(&c, &facts, &cues, &link);
-                (score, c)
-            })
-            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        match best {
-            Some((_, q)) => q.to_string(),
-            None => "SELECT 1".to_string(),
+        // Check candidates winner-first. A candidate that fails to
+        // execute drops by 10, in the float order the penalty always
+        // had; the argmax is then taken again. Every score is finite, so
+        // the argmax is a total order: a candidate nobody checked could
+        // only drop, so it can never overtake the winner, and the first
+        // winner that executes (or that is already checked) is the one an
+        // eager check of every candidate would pick.
+        let mut scores: Vec<f64> = scored.iter().map(|(cos, feat, _)| cos + feat).collect();
+        let mut checked = vec![false; scored.len()];
+        loop {
+            let i = argmax(&scores);
+            let (cos, feat, c) = &scored[i];
+            if checked[i] || db.check_query(c).is_ok() {
+                return c.to_string();
+            }
+            checked[i] = true;
+            scores[i] = (cos - 10.0) + feat;
         }
     }
+}
+
+/// Index of the maximum score, the last one among equal maxima (what
+/// `Iterator::max_by` returns). `scores` must be non-empty.
+fn argmax(scores: &[f64]) -> usize {
+    (0..scores.len())
+        .max_by(|&a, &b| {
+            scores[a]
+                .partial_cmp(&scores[b])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .expect("non-empty scores")
+}
+
+/// What SmBoP answers when it enumerates no candidate.
+fn fallback_sql(db: &Database) -> String {
+    format!(
+        "SELECT * FROM {}",
+        db.schema
+            .tables
+            .first()
+            .map(|t| t.name.clone())
+            .unwrap_or_else(|| "unknown".into())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_engine::Value;
+    use sb_engine::{EngineError, Value};
     use sb_schema::{Column, Schema, TableDef};
+
+    /// `predict` with every candidate checked up front, the reference the
+    /// lazy decoder must match: a failing candidate drops by 10 and the
+    /// argmax is taken once.
+    fn eager_predict(sys: &SmBopSim, question: &str, db: &Database) -> String {
+        let scored = sys.scored_candidates(question, db);
+        if scored.is_empty() {
+            return fallback_sql(db);
+        }
+        scored
+            .into_iter()
+            .map(|(cos, feat, c)| {
+                let mut score = cos;
+                if db.check_query(&c).is_err() {
+                    score -= 10.0;
+                }
+                score += feat;
+                (score, c)
+            })
+            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(_, q)| q.to_string())
+            .expect("non-empty candidates")
+    }
+
+    /// The best-scoring candidate before any check.
+    fn unchecked_winner(sys: &SmBopSim, question: &str, db: &Database) -> Query {
+        let scored = sys.scored_candidates(question, db);
+        let scores: Vec<f64> = scored.iter().map(|(cos, feat, _)| cos + feat).collect();
+        scored[argmax(&scores)].2.clone()
+    }
+
+    /// Crates whose Int weights sit next to `i64::MAX`, so any SUM over
+    /// two of them overflows.
+    fn heavy_db() -> Database {
+        let schema = Schema::new("depot").with_table(TableDef::new(
+            "crates",
+            vec![
+                Column::pk("id", ColumnType::Int),
+                Column::new("name", ColumnType::Text),
+                Column::new("weight", ColumnType::Int),
+            ],
+        ));
+        let mut db = Database::new(schema);
+        for i in 0..6i64 {
+            db.table_mut("crates").unwrap().push_rows(vec![vec![
+                Value::Int(i),
+                format!("crate {i}").into(),
+                Value::Int(i64::MAX - i),
+            ]]);
+        }
+        db
+    }
+
+    #[test]
+    fn a_winner_that_overflows_falls_through_to_the_eager_choice() {
+        let db = heavy_db();
+        let sys = SmBopSim::new();
+        for q in [
+            "What is the total weight of crates?",
+            "What is the total weight of crates with weight greater than 3?",
+            "What is the total weight of each crate name?",
+        ] {
+            let top = unchecked_winner(&sys, q, &db);
+            assert!(
+                matches!(db.check_query(&top), Err(EngineError::Overflow(_))),
+                "`{q}`: the fixture's top candidate `{top}` must overflow"
+            );
+            let sql = sys.predict(q, &db);
+            assert_eq!(sql, eager_predict(&sys, q, &db), "`{q}`");
+            assert!(db.check(&sql).is_ok(), "`{q}` → `{sql}`");
+        }
+    }
+
+    #[test]
+    fn lazy_and_eager_agree_on_every_released_question() {
+        for d in crate::released::domains() {
+            let catalog = DbCatalog::new([&d.db]);
+            let mut sys = SmBopSim::new();
+            for trained in [false, true] {
+                if trained {
+                    sys.train(&d.train, &catalog);
+                }
+                for q in &d.questions {
+                    assert_eq!(
+                        sys.predict(q, &d.db),
+                        eager_predict(&sys, q, &d.db),
+                        "{} (trained: {trained}): `{q}`",
+                        d.db.schema.name
+                    );
+                }
+            }
+        }
+    }
 
     fn pets_db() -> Database {
         let schema = Schema::new("pets").with_table(TableDef::new(

@@ -469,6 +469,120 @@ impl ValueNetSim {
             .ok()
             .map(|q| (q.to_string(), score))
     }
+
+    /// Near-duplicate memorization with top-k skeleton consensus:
+    /// individually noisy training pairs (silver standard) are outvoted
+    /// by the agreeing majority, the distant-supervision behaviour the
+    /// paper relies on (§4.2). Returns the memorized SQL re-grounded in
+    /// this question's evidence, when it fires and executes.
+    fn recall(&self, question: &str, link: &LinkResult, db: &Database) -> Option<String> {
+        let db_name = db.schema.name.to_ascii_lowercase();
+        let normalized: String = question
+            .chars()
+            .map(|c| if c.is_ascii_digit() { '#' } else { c })
+            .collect();
+        let q_norm = embed(&normalized);
+        let mut near: Vec<(f32, &MemoryEntry)> = self
+            .memory
+            .iter()
+            .filter(|m| m.db == db_name)
+            .map(|m| (q_norm.cosine(&m.embedding), m))
+            .filter(|(sim, _)| *sim >= 0.90)
+            .collect();
+        near.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        near.truncate(7);
+        if near.is_empty() {
+            return None;
+        }
+        // Vote by template skeleton, weighting by similarity.
+        let mut votes: std::collections::HashMap<&str, f32> = std::collections::HashMap::new();
+        for (sim, m) in &near {
+            *votes.entry(m.skeleton.as_str()).or_insert(0.0) += sim;
+        }
+        let skeleton = votes
+            .iter()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(k, _)| k.to_string())?;
+        let (sim, m) = near
+            .iter()
+            .find(|(_, m)| m.skeleton == skeleton)
+            .map(|(sim, m)| (*sim, m))?;
+        let arity_ok = sb_sql::parse(&m.sql)
+            .map(|q| {
+                let n = sb_sql::visitor::collect_literals(&q)
+                    .iter()
+                    .filter(|l| matches!(l, Literal::Int(_) | Literal::Float(_)))
+                    .count();
+                n == link.numbers.len()
+            })
+            .unwrap_or(false);
+        // Strong consensus or near-exact single match.
+        let consensus = votes[skeleton.as_str()] / near.iter().map(|(s, _)| s).sum::<f32>();
+        if !(arity_ok && (sim > 0.96 || (sim > 0.92 && consensus > 0.55))) {
+            return None;
+        }
+        let repaired = reground_values(&m.sql, link)?;
+        db.check(&repaired).is_ok().then_some(repaired)
+    }
+
+    /// Every instantiation of the retrieved sketches, unchecked, as
+    /// `(sim·3 + fill, sql)` in retrieval order, each sketch's rotations
+    /// in turn.
+    fn beam(&self, question: &str, link: &LinkResult, db: &Database) -> Vec<(f64, String)> {
+        let delex = Self::delexicalize(question, link, db);
+        let q_embed = embed(&delex);
+
+        // Rank sketches by similarity; delexicalization collapses distinct
+        // columns to the same token, so break near-ties by how well the
+        // template's slot count matches the linked evidence.
+        let distinct_linked = link
+            .columns
+            .iter()
+            .map(|c| (&c.table, &c.column))
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+        let mut ranked: Vec<(f32, usize)> = self
+            .sketches
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let slot_gap =
+                    (s.template.columns.len() as i64 - distinct_linked as i64).unsigned_abs();
+                let score = q_embed.cosine(&s.embedding) - 0.015 * slot_gap as f32;
+                (score, i)
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+
+        // Candidate search: retrieval similarity gates hard — only
+        // sketches within a hair of the best similarity compete (their
+        // delexicalized text is equally consistent with the question);
+        // the fill score then arbitrates among those near-ties.
+        let top_sim = ranked.first().map(|(s, _)| *s).unwrap_or(0.0);
+        let q_tokens = sb_embed::tokenize(question);
+        let mut beam = Vec::new();
+        for (sim, idx) in ranked
+            .into_iter()
+            .take_while(|(s, _)| *s >= top_sim - 0.03)
+            .take(Self::BEAM)
+        {
+            let rotations = if self.sketches[idx].template.table_count > 1 {
+                2
+            } else {
+                2.min(link.tables.len().max(1))
+            };
+            for rotation in 0..rotations {
+                if let Some((sql, fill)) =
+                    self.instantiate(&self.sketches[idx].template, link, &q_tokens, db, rotation)
+                {
+                    let combined = sim as f64 * 3.0 + fill * 1.0;
+                    debug_assert!(combined.is_finite(), "{sql}");
+                    beam.push((combined, sql));
+                }
+            }
+        }
+        beam
+    }
 }
 
 /// Re-ground the literals of a memorized SQL query in the current
@@ -557,47 +671,6 @@ fn sb_gen_parse(text: &str) -> Option<Literal> {
     None
 }
 
-impl ValueNetSim {
-    /// Diagnostic: the scored candidate list for a question (sim, fill,
-    /// sql, template source). Not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_candidates(
-        &self,
-        question: &str,
-        db: &Database,
-        top: usize,
-    ) -> Vec<(f32, f64, String, String)> {
-        let link = self.linker.link(question, db);
-        let delex = Self::delexicalize(question, &link, db);
-        let q_embed = embed(&delex);
-        let mut ranked: Vec<(f32, usize)> = self
-            .sketches
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (q_embed.cosine(&s.embedding), i))
-            .collect();
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut out = Vec::new();
-        let q_tokens = sb_embed::tokenize(question);
-        for (sim, idx) in ranked.into_iter().take(top) {
-            for rotation in 0..2 {
-                if let Some((sql, fill)) =
-                    self.instantiate(&self.sketches[idx].template, &link, &q_tokens, db, rotation)
-                {
-                    let ok = db.check(&sql).is_ok();
-                    out.push((
-                        sim,
-                        if ok { fill } else { f64::NEG_INFINITY },
-                        sql,
-                        self.sketches[idx].template.source.clone(),
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 impl NlToSql for ValueNetSim {
     fn name(&self) -> &'static str {
         "ValueNet"
@@ -638,140 +711,171 @@ impl NlToSql for ValueNetSim {
 
     fn predict(&self, question: &str, db: &Database) -> String {
         let link = self.linker.link(question, db);
-
-        // Near-duplicate memorization with top-k skeleton consensus:
-        // individually noisy training pairs (silver standard) are
-        // outvoted by the agreeing majority, the distant-supervision
-        // behaviour the paper relies on (§4.2).
-        let db_name = db.schema.name.to_ascii_lowercase();
-        let normalized: String = question
-            .chars()
-            .map(|c| if c.is_ascii_digit() { '#' } else { c })
-            .collect();
-        let q_norm = embed(&normalized);
-        let mut near: Vec<(f32, &MemoryEntry)> = self
-            .memory
-            .iter()
-            .filter(|m| m.db == db_name)
-            .map(|m| (q_norm.cosine(&m.embedding), m))
-            .filter(|(sim, _)| *sim >= 0.90)
-            .collect();
-        near.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        near.truncate(7);
-        if !near.is_empty() {
-            // Vote by template skeleton, weighting by similarity.
-            let mut votes: std::collections::HashMap<&str, f32> = std::collections::HashMap::new();
-            for (sim, m) in &near {
-                *votes.entry(m.skeleton.as_str()).or_insert(0.0) += sim;
-            }
-            let winner = votes
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(k, _)| k.to_string());
-            if let Some(skeleton) = winner {
-                let best = near
-                    .iter()
-                    .find(|(_, m)| m.skeleton == skeleton)
-                    .map(|(sim, m)| (*sim, m));
-                if let Some((sim, m)) = best {
-                    let arity_ok = sb_sql::parse(&m.sql)
-                        .map(|q| {
-                            let n = sb_sql::visitor::collect_literals(&q)
-                                .iter()
-                                .filter(|l| matches!(l, Literal::Int(_) | Literal::Float(_)))
-                                .count();
-                            n == link.numbers.len()
-                        })
-                        .unwrap_or(false);
-                    // Strong consensus or near-exact single match.
-                    let consensus =
-                        votes[skeleton.as_str()] / near.iter().map(|(s, _)| s).sum::<f32>();
-                    if arity_ok && (sim > 0.96 || (sim > 0.92 && consensus > 0.55)) {
-                        if let Some(repaired) = reground_values(&m.sql, &link) {
-                            if db.check(&repaired).is_ok() {
-                                return repaired;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let delex = Self::delexicalize(question, &link, db);
-        let q_embed = embed(&delex);
-
-        // Rank sketches by similarity; delexicalization collapses distinct
-        // columns to the same token, so break near-ties by how well the
-        // template's slot count matches the linked evidence.
-        let distinct_linked = link
-            .columns
-            .iter()
-            .map(|c| (&c.table, &c.column))
-            .collect::<std::collections::HashSet<_>>()
-            .len();
-        let mut ranked: Vec<(f32, usize)> = self
-            .sketches
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let slot_gap =
-                    (s.template.columns.len() as i64 - distinct_linked as i64).unsigned_abs();
-                let score = q_embed.cosine(&s.embedding) - 0.015 * slot_gap as f32;
-                (score, i)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        // Candidate search: retrieval similarity gates hard — only
-        // sketches within a hair of the best similarity compete (their
-        // delexicalized text is equally consistent with the question);
-        // the fill score then arbitrates among those near-ties.
-        let top_sim = ranked.first().map(|(s, _)| *s).unwrap_or(0.0);
-        let mut best: Option<(f64, String)> = None;
-        let q_tokens = sb_embed::tokenize(question);
-        for (sim, idx) in ranked
-            .into_iter()
-            .take_while(|(s, _)| *s >= top_sim - 0.03)
-            .take(Self::BEAM)
-        {
-            let rotations = if self.sketches[idx].template.table_count > 1 {
-                2
-            } else {
-                2.min(link.tables.len().max(1))
-            };
-            for rotation in 0..rotations {
-                if let Some((sql, fill)) =
-                    self.instantiate(&self.sketches[idx].template, &link, &q_tokens, db, rotation)
-                {
-                    // Grammar-constrained decoding: only executable SQL
-                    // survives the beam.
-                    if db.check(&sql).is_err() {
-                        continue;
-                    }
-                    let combined = sim as f64 * 3.0 + fill * 1.0;
-                    if best.as_ref().is_none_or(|(b, _)| combined > *b) {
-                        best = Some((combined, sql));
-                    }
-                }
-            }
-        }
-        if let Some((_, sql)) = best {
+        if let Some(sql) = self.recall(question, &link, db) {
             return sql;
         }
-        // Fallback: the most plausible table dump.
-        let table = link
-            .best_table()
-            .map(str::to_string)
-            .or_else(|| db.schema.tables.first().map(|t| t.name.clone()))
-            .unwrap_or_else(|| "unknown".into());
-        format!("SELECT * FROM {table}")
+        // Grammar-constrained decoding: only executable SQL survives the
+        // beam. Try instantiations best-first and stop at the first that
+        // executes; the stable sort keeps the earliest of equal scores
+        // first, so this is the strict-`>` argmax over the executable
+        // ones, without checking candidates that cannot win.
+        let mut beam = self.beam(question, &link, db);
+        beam.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        beam.into_iter()
+            .map(|(_, sql)| sql)
+            .find(|sql| db.check(sql).is_ok())
+            .unwrap_or_else(|| fallback_sql(&link, db))
     }
+}
+
+/// The most plausible table dump: what ValueNet answers when no beam
+/// candidate executes.
+fn fallback_sql(link: &LinkResult, db: &Database) -> String {
+    let table = link
+        .best_table()
+        .map(str::to_string)
+        .or_else(|| db.schema.tables.first().map(|t| t.name.clone()))
+        .unwrap_or_else(|| "unknown".into());
+    format!("SELECT * FROM {table}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_engine::Value;
+    use sb_engine::{EngineError, Value};
     use sb_schema::{Column, Schema, TableDef};
+
+    /// `predict` with every beam candidate checked up front, the
+    /// reference the lazy beam must match: the strict-`>` argmax over the
+    /// executable instantiations, in beam order.
+    fn eager_predict(sys: &ValueNetSim, question: &str, db: &Database) -> String {
+        let link = sys.linker.link(question, db);
+        if let Some(sql) = sys.recall(question, &link, db) {
+            return sql;
+        }
+        let mut best: Option<(f64, String)> = None;
+        for (combined, sql) in sys.beam(question, &link, db) {
+            if db.check(&sql).is_err() {
+                continue;
+            }
+            if best.as_ref().is_none_or(|(b, _)| combined > *b) {
+                best = Some((combined, sql));
+            }
+        }
+        best.map(|(_, sql)| sql)
+            .unwrap_or_else(|| fallback_sql(&link, db))
+    }
+
+    /// Crates whose Int weights sit next to `i64::MAX`, so any SUM over
+    /// two of them overflows, and pallets of ordinary weight.
+    fn heavy_db() -> Database {
+        let schema = Schema::new("depot")
+            .with_table(TableDef::new(
+                "crates",
+                vec![
+                    Column::pk("id", ColumnType::Int),
+                    Column::new("name", ColumnType::Text),
+                    Column::new("weight", ColumnType::Int),
+                ],
+            ))
+            .with_table(TableDef::new(
+                "pallets",
+                vec![
+                    Column::pk("id", ColumnType::Int),
+                    Column::new("name", ColumnType::Text),
+                    Column::new("weight", ColumnType::Int),
+                ],
+            ));
+        let mut db = Database::new(schema);
+        for i in 0..6i64 {
+            db.table_mut("crates").unwrap().push_rows(vec![vec![
+                Value::Int(i),
+                format!("crate {i}").into(),
+                Value::Int(i64::MAX - i),
+            ]]);
+            db.table_mut("pallets").unwrap().push_rows(vec![vec![
+                Value::Int(i),
+                format!("pallet {i}").into(),
+                Value::Int(100 + i),
+            ]]);
+        }
+        db
+    }
+
+    /// A system trained on a SUM, a name projection and a weight
+    /// projection over crates.
+    fn depot_system(db: &Database) -> ValueNetSim {
+        let catalog = DbCatalog::new([db]);
+        let mut sys = ValueNetSim::new();
+        sys.train(
+            &[
+                Pair::new(
+                    "What is the total weight of crates?",
+                    "SELECT SUM(c.weight) FROM crates AS c",
+                    "depot",
+                ),
+                Pair::new(
+                    "Show the names of crates",
+                    "SELECT c.name FROM crates AS c",
+                    "depot",
+                ),
+                Pair::new(
+                    "Show the weight of crates",
+                    "SELECT c.weight FROM crates AS c",
+                    "depot",
+                ),
+            ],
+            &catalog,
+        );
+        sys
+    }
+
+    #[test]
+    fn a_winner_that_overflows_falls_through_to_the_eager_choice() {
+        let db = heavy_db();
+        let sys = depot_system(&db);
+        for q in [
+            "What is the total weight of all crates?",
+            "total crate weight",
+        ] {
+            let link = sys.linker.link(q, &db);
+            assert_eq!(sys.recall(q, &link, &db), None, "`{q}`");
+            let beam = sys.beam(q, &link, &db);
+            let (_, top) = beam
+                .iter()
+                .max_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("a non-empty beam");
+            assert!(
+                matches!(db.check(top), Err(EngineError::Overflow(_))),
+                "`{q}`: the fixture's top candidate `{top}` must overflow"
+            );
+            let sql = sys.predict(q, &db);
+            assert_eq!(sql, eager_predict(&sys, q, &db), "`{q}`");
+            assert_ne!(&sql, top, "`{q}`");
+            assert!(db.check(&sql).is_ok(), "`{q}` → `{sql}`");
+        }
+    }
+
+    #[test]
+    fn lazy_and_eager_agree_on_every_released_question() {
+        for d in crate::released::domains() {
+            let catalog = DbCatalog::new([&d.db]);
+            let mut sys = ValueNetSim::new();
+            for trained in [false, true] {
+                if trained {
+                    sys.train(&d.train, &catalog);
+                }
+                for q in &d.questions {
+                    assert_eq!(
+                        sys.predict(q, &d.db),
+                        eager_predict(&sys, q, &d.db),
+                        "{} (trained: {trained}): `{q}`",
+                        d.db.schema.name
+                    );
+                }
+            }
+        }
+    }
 
     fn db() -> Database {
         let schema = Schema::new("sdss").with_table(TableDef::new(

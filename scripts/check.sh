@@ -33,6 +33,18 @@ stage "benchmark package: build and test sbbench"
 # calls the crates' public API, so a breaking API change fails here.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+stage "held-out table5 grid: sbbench at seed 20261017 must be correct"
+# One --quick Table 5 grid at the benchmark's held-out seed (experiment
+# seed 31), every cell checked against its expected accuracy. sbbench
+# exits 1 on a wrong cell; the grep also fails a run that prints no
+# verdict.
+table5_verdict="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+    --bin sbbench -- --workload table5_quick --seed 20261017 --seconds 1 --trace 0 | tail -n 1)"
+grep -q '"correct": true' <<< "$table5_verdict" || {
+    echo "sbbench table5_quick at seed 20261017 is not correct: $table5_verdict" >&2
+    exit 1
+}
+
 stage "plan snapshots: regenerate and diff committed goldens"
 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots
 git diff --exit-code -- tests/goldens/plans || {
