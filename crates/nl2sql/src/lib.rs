@@ -193,6 +193,44 @@ mod tests {
         assert!(cat.get("cordis").is_none());
     }
 
+    /// Every system trained on each released domain's training pairs,
+    /// with its prediction for each of the domain's questions.
+    fn predict_released(domains: &[released::Released]) -> Vec<String> {
+        let mut out = Vec::new();
+        for d in domains {
+            let catalog = DbCatalog::new([&d.db]);
+            let mut systems: [Box<dyn NlToSql>; 3] = [
+                Box::new(ValueNetSim::new()),
+                Box::new(T5Sim::new()),
+                Box::new(SmBopSim::new()),
+            ];
+            for sys in &mut systems {
+                sys.train(&d.train, &catalog);
+                out.extend(d.questions.iter().map(|q| sys.predict(q, &d.db)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn predictions_do_not_depend_on_the_thread() {
+        // A std `HashMap` draws its hash keys per thread, so a decision
+        // that follows a map's iteration order shows up as threads that
+        // disagree.
+        let domains = released::domains();
+        let runs: Vec<Vec<String>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| predict_released(&domains)))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (t, run) in runs.iter().enumerate().skip(1) {
+            for (i, (a, b)) in runs[0].iter().zip(run).enumerate() {
+                assert_eq!(a, b, "prediction {i}: thread 0 vs thread {t}");
+            }
+        }
+    }
+
     #[test]
     fn stopwords_cover_question_scaffolding() {
         for w in ["find", "the", "of", "how", "many"] {

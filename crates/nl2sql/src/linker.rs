@@ -21,7 +21,7 @@ use crate::{is_stopword, Pair};
 use sb_engine::Database;
 use sb_schema::{ColumnType, Schema};
 use sb_sql::Literal;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A linked schema column with a confidence score.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,8 +66,10 @@ impl LinkResult {
 /// [`Database::data_profile`], which the database caches itself.
 #[derive(Debug, Clone, Default)]
 pub struct Linker {
-    /// token → (db, table, column) → votes.
-    lexicon: HashMap<String, HashMap<(String, String, String), f64>>,
+    /// token → (db, table, column) → votes. A token's votes are kept
+    /// sorted by key, so every sum over them runs in one order and gives
+    /// the same float on every thread and run.
+    lexicon: HashMap<String, BTreeMap<(String, String, String), f64>>,
 }
 
 impl Linker {
@@ -190,6 +192,11 @@ impl Linker {
     /// Systems use these as realization aliases ("what the users call
     /// this column"), which is how domain training data teaches
     /// `SmBopSim` to speak the domain's language.
+    ///
+    /// The result does not depend on hash order: a token's vote mass is
+    /// summed in sorted key order (the lexicon keeps it sorted), and when
+    /// two tokens give a column equal weight, the lexicographically
+    /// smallest token wins.
     pub fn learned_aliases(&self, db_name: &str) -> Vec<(String, String, String)> {
         let db_name = db_name.to_ascii_lowercase();
         let mut best: HashMap<(String, String), (String, f64)> = HashMap::new();
@@ -210,7 +217,7 @@ impl Linker {
                 let entry = best
                     .entry((table.clone(), column.clone()))
                     .or_insert_with(|| (token.clone(), *w));
-                if *w > entry.1 {
+                if *w > entry.1 || (*w == entry.1 && *token < entry.0) {
                     *entry = (token.clone(), *w);
                 }
             }

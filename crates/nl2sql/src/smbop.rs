@@ -14,24 +14,29 @@
 //! unreachable — mirroring the ceiling real bottom-up decoders hit on the
 //! extra-hard class.
 //!
-//! Only a candidate that executes can be chosen, but execution is the
-//! expensive part of the decoder, so it is checked lazily: every
-//! candidate is scored without running it, and `Database::check_query`
-//! then runs on candidates in winner order, stopping at the first that
-//! executes. A failing candidate keeps its score minus 10 and the argmax
-//! is retaken, which picks exactly what checking every candidate up
-//! front would pick (see `predict`).
+//! A candidate's score is `0.5·cos + feat`: the realization similarity
+//! and cheap shape/mention features. Only a candidate that executes can
+//! be chosen; a failing one keeps its score minus 10. Realizing,
+//! embedding and executing are the expensive parts of the decoder, so
+//! decoding is an exact branch-and-bound (`select`): every candidate
+//! gets its features, and `0.5 + feat` bounds its score because
+//! `cosine` is clamped to `[-1, 1]` and float addition rounds
+//! monotonically. Candidates are realized and embedded only while their
+//! bound can still reach the best score, and `Database::check_query`
+//! runs on exact scores in winner order. The answer is exactly what
+//! realizing and checking every candidate up front would pick.
 
 use crate::linker::{column_mentioned, LinkResult, Linker};
 use crate::{DbCatalog, NlToSql, Pair};
-use sb_embed::embed;
+use sb_embed::{embed, Embedding};
 use sb_engine::Database;
 use sb_nl::{Realizer, Style};
 use sb_schema::{ColumnType, EnhancedSchema, Schema};
 use sb_sql::{
     AggArg, AggFunc, BinaryOp, Expr, Join, Literal, OrderItem, Query, Select, SelectItem, TableRef,
 };
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The SmBoP-like system.
 #[derive(Debug, Clone, Default)]
@@ -339,36 +344,45 @@ impl SmBopSim {
         out
     }
 
-    /// Every enumerated candidate with its two score parts, unchecked:
-    /// `0.5·cos` between the question and the candidate's realization,
-    /// and the shape/mention features. Empty when nothing enumerates.
-    fn scored_candidates(&self, question: &str, db: &Database) -> Vec<(f64, f64, Query)> {
-        let link = self.linker.link(question, db);
-        let candidates = self.enumerate(&link, db, question);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        // Realization-based scoring with learned domain vocabulary.
+    /// The question's realization vocabulary: the schema with every
+    /// learned alias of its database applied.
+    fn enhanced_schema(&self, db: &Database) -> EnhancedSchema {
         let mut enhanced = EnhancedSchema::new(db.schema.clone());
         for (table, column, token) in self.linker.learned_aliases(&db.schema.name) {
             enhanced.set_column_alias(&table, &column, &token);
         }
-        let realizer = Realizer::new(&enhanced);
-        let q_embed = embed(question);
-        let q_tokens = sb_embed::tokenize(question);
-        let cues = QuestionCues::of(question);
-        let facts = QuestionFacts::of(&q_tokens, &link, &db.schema);
-        candidates
-            .into_iter()
-            .map(|c| {
-                let text = realizer.realize(&c, Style::reference());
-                let cos = 0.5 * q_embed.cosine(&embed(&text)) as f64;
-                let feat = score_features(&c, &facts, &cues, &link);
-                debug_assert!(cos.is_finite() && feat.is_finite(), "{c}");
-                (cos, feat, c)
-            })
-            .collect()
+        enhanced
     }
+}
+
+/// The shape/mention feature part of every candidate's score.
+fn feature_scores(
+    question: &str,
+    link: &LinkResult,
+    db: &Database,
+    candidates: &[Query],
+) -> Vec<f64> {
+    let q_tokens = sb_embed::tokenize(question);
+    let cues = QuestionCues::of(question);
+    let facts = QuestionFacts::of(&q_tokens, link, &db.schema);
+    candidates
+        .iter()
+        .map(|c| {
+            let feat = score_features(c, &facts, &cues, link);
+            debug_assert!(feat.is_finite(), "{c}");
+            feat
+        })
+        .collect()
+}
+
+/// The similarity part of a candidate's score: `0.5·cos` between the
+/// question and the candidate's English realization. Never above 0.5,
+/// because `cosine` is clamped to `[-1, 1]`.
+fn cos_part(realizer: &Realizer, q_embed: &Embedding, c: &Query) -> f64 {
+    let text = realizer.realize(c, Style::reference());
+    let cos = 0.5 * q_embed.cosine(&embed(&text)) as f64;
+    debug_assert!(cos.is_finite(), "{c}");
+    cos
 }
 
 /// Shape cues read off the question: what kind of tree the scorer should
@@ -816,41 +830,123 @@ impl NlToSql for SmBopSim {
     }
 
     fn predict(&self, question: &str, db: &Database) -> String {
-        let scored = self.scored_candidates(question, db);
-        if scored.is_empty() {
+        let link = self.linker.link(question, db);
+        let candidates = self.enumerate(&link, db, question);
+        if candidates.is_empty() {
             return fallback_sql(db);
         }
-        // Check candidates winner-first. A candidate that fails to
-        // execute drops by 10, in the float order the penalty always
-        // had; the argmax is then taken again. Every score is finite, so
-        // the argmax is a total order: a candidate nobody checked could
-        // only drop, so it can never overtake the winner, and the first
-        // winner that executes (or that is already checked) is the one an
-        // eager check of every candidate would pick.
-        let mut scores: Vec<f64> = scored.iter().map(|(cos, feat, _)| cos + feat).collect();
-        let mut checked = vec![false; scored.len()];
-        loop {
-            let i = argmax(&scores);
-            let (cos, feat, c) = &scored[i];
-            if checked[i] || db.check_query(c).is_ok() {
-                return c.to_string();
-            }
-            checked[i] = true;
-            scores[i] = (cos - 10.0) + feat;
+        let feat = feature_scores(question, &link, db, &candidates);
+        let enhanced = self.enhanced_schema(db);
+        let realizer = Realizer::new(&enhanced);
+        let q_embed = embed(question);
+        let mut realized = 0u64;
+        let winner = select(
+            &feat,
+            |i| {
+                realized += 1;
+                cos_part(&realizer, &q_embed, &candidates[i])
+            },
+            |i| db.check_query(&candidates[i]).is_ok(),
+        );
+        if sb_obs::enabled() {
+            sb_obs::count("nl2sql.smbop.candidates", candidates.len() as u64);
+            sb_obs::count("nl2sql.smbop.realized", realized);
         }
+        candidates[winner].to_string()
     }
 }
 
-/// Index of the maximum score, the last one among equal maxima (what
-/// `Iterator::max_by` returns). `scores` must be non-empty.
-fn argmax(scores: &[f64]) -> usize {
-    (0..scores.len())
-        .max_by(|&a, &b| {
-            scores[a]
-                .partial_cmp(&scores[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
+/// Where a candidate stands on the [`select`] frontier; the entry's key
+/// is always at least the candidate's final score.
+enum Stage {
+    /// Key `0.5 + feat`: the largest score the candidate could have.
+    Bound,
+    /// Key `cos + feat`, the candidate's score if it executes; `cos` is
+    /// kept for the penalty.
+    Exact(f64),
+    /// Key `(cos − 10) + feat`: the candidate failed to execute.
+    Penalised,
+}
+
+/// One candidate on the frontier, ordered by `(key, index)`.
+struct Entry {
+    key: f64,
+    index: usize,
+    stage: Stage,
+}
+
+impl Ord for Entry {
+    /// Keys compare by `partial_cmp`, so `-0.0` ties `0.0` as it does in
+    /// an argmax; the larger index wins a tie. No two entries share an
+    /// index, so this is a total order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key
+            .partial_cmp(&other.key)
+            .unwrap_or(Ordering::Equal)
+            .then(self.index.cmp(&other.index))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// The candidate an eager decoder picks: the argmax (last index among
+/// equal maxima) of `cos + feat`, or `(cos − 10) + feat` for a candidate
+/// that fails `check`. `feat` holds every candidate's finite feature
+/// part and must be non-empty; `cos(i)` computes candidate `i`'s finite
+/// similarity part, at most 0.5; `check(i)` says whether it executes.
+///
+/// Branch and bound, exact by construction: every frontier key is at
+/// least its candidate's final score, because float addition rounds
+/// monotonically (`fl(cos + feat) ≤ fl(0.5 + feat)` and
+/// `fl((cos − 10) + feat) ≤ fl(cos + feat)`). Each pop moves the top
+/// candidate one stage along; once the top key is a final score, no
+/// other candidate can reach it with a larger index, so it is the
+/// argmax. `cos` runs only for candidates whose bound reaches the top,
+/// and `check` runs on exactly the candidates, and in the order, that
+/// re-taking the argmax after each failed check would visit.
+fn select(
+    feat: &[f64],
+    mut cos: impl FnMut(usize) -> f64,
+    mut check: impl FnMut(usize) -> bool,
+) -> usize {
+    let mut frontier: BinaryHeap<Entry> = feat
+        .iter()
+        .enumerate()
+        .map(|(index, f)| Entry {
+            key: 0.5 + f,
+            index,
+            stage: Stage::Bound,
         })
-        .expect("non-empty scores")
+        .collect();
+    loop {
+        let Entry { index, stage, .. } = frontier.pop().expect("non-empty feat");
+        let (key, stage) = match stage {
+            Stage::Bound => {
+                let cos = cos(index);
+                (cos + feat[index], Stage::Exact(cos))
+            }
+            Stage::Exact(cos) => {
+                if check(index) {
+                    return index;
+                }
+                ((cos - 10.0) + feat[index], Stage::Penalised)
+            }
+            Stage::Penalised => return index,
+        };
+        frontier.push(Entry { key, index, stage });
+    }
 }
 
 /// What SmBoP answers when it enumerates no candidate.
@@ -868,14 +964,45 @@ fn fallback_sql(db: &Database) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sb_engine::{EngineError, Value};
     use sb_schema::{Column, Schema, TableDef};
 
-    /// `predict` with every candidate checked up front, the reference the
-    /// lazy decoder must match: a failing candidate drops by 10 and the
-    /// argmax is taken once.
+    /// Every enumerated candidate with its two score parts, unchecked:
+    /// `0.5·cos` between the question and the candidate's realization,
+    /// and the shape/mention features. Empty when nothing enumerates.
+    fn scored_candidates(sys: &SmBopSim, question: &str, db: &Database) -> Vec<(f64, f64, Query)> {
+        let link = sys.linker.link(question, db);
+        let candidates = sys.enumerate(&link, db, question);
+        let feat = feature_scores(question, &link, db, &candidates);
+        let enhanced = sys.enhanced_schema(db);
+        let realizer = Realizer::new(&enhanced);
+        let q_embed = embed(question);
+        candidates
+            .into_iter()
+            .zip(feat)
+            .map(|(c, feat)| (cos_part(&realizer, &q_embed, &c), feat, c))
+            .collect()
+    }
+
+    /// Index of the maximum score, the last one among equal maxima (what
+    /// `Iterator::max_by` returns). `scores` must be non-empty.
+    fn argmax(scores: &[f64]) -> usize {
+        (0..scores.len())
+            .max_by(|&a, &b| {
+                scores[a]
+                    .partial_cmp(&scores[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .expect("non-empty scores")
+    }
+
+    /// `predict` with every candidate realized and checked up front, the
+    /// reference the frontier must match: a failing candidate drops by
+    /// 10 and the argmax is taken once.
     fn eager_predict(sys: &SmBopSim, question: &str, db: &Database) -> String {
-        let scored = sys.scored_candidates(question, db);
+        let scored = scored_candidates(sys, question, db);
         if scored.is_empty() {
             return fallback_sql(db);
         }
@@ -896,9 +1023,110 @@ mod tests {
 
     /// The best-scoring candidate before any check.
     fn unchecked_winner(sys: &SmBopSim, question: &str, db: &Database) -> Query {
-        let scored = sys.scored_candidates(question, db);
+        let scored = scored_candidates(sys, question, db);
         let scores: Vec<f64> = scored.iter().map(|(cos, feat, _)| cos + feat).collect();
         scored[argmax(&scores)].2.clone()
+    }
+
+    /// Lazy checking with every score known: check the argmax, drop a
+    /// failure by 10, re-take the argmax. Returns the winner and the
+    /// checked indices in order.
+    fn lazy_reference(feat: &[f64], cos: &[f64], ok: &[bool]) -> (usize, Vec<usize>) {
+        let mut scores: Vec<f64> = cos.iter().zip(feat).map(|(c, f)| c + f).collect();
+        let mut checked = Vec::new();
+        loop {
+            let i = argmax(&scores);
+            if checked.contains(&i) {
+                return (i, checked);
+            }
+            checked.push(i);
+            if ok[i] {
+                return (i, checked);
+            }
+            scores[i] = (cos[i] - 10.0) + feat[i];
+        }
+    }
+
+    /// A finite feature score drawn to collide often: small multiples of
+    /// 0.25 (ties and both zeros), large magnitudes that swallow a 0.5
+    /// or a 10 in rounding, and arbitrary values.
+    fn draw_feat(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(-8i64..=8) as f64 * 0.25,
+            3 => rng.gen_range(-2i64..=2) as f64 * 2f64.powi(rng.gen_range(50..56)),
+            _ => (rng.gen::<f64>() * 2.0 - 1.0) * 4.0,
+        }
+    }
+
+    #[test]
+    fn frontier_matches_the_eager_argmax_on_random_scores() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for round in 0..5000 {
+            let n = rng.gen_range(1..40usize);
+            let distinct = rng.gen_range(1..6usize);
+            let pool: Vec<f64> = (0..distinct).map(|_| draw_feat(&mut rng)).collect();
+            // Equal features are common: half the rounds draw from a tiny pool.
+            let feat: Vec<f64> = (0..n)
+                .map(|_| match round % 2 {
+                    0 => pool[rng.gen_range(0..distinct)],
+                    _ => draw_feat(&mut rng),
+                })
+                .collect();
+            let cos: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..5u32) {
+                    0 => 0.5,
+                    1 => -0.5,
+                    2 => [0.0, -0.0][rng.gen_range(0..2usize)],
+                    _ => (rng.gen::<f64>() * 2.0 - 1.0) * 0.5,
+                })
+                .collect();
+            // Every fail rate from none to all, so runs of failing
+            // winners are common.
+            let fail = round as f64 % 11.0 / 10.0;
+            let ok: Vec<bool> = (0..n).map(|_| !rng.gen_bool(fail)).collect();
+
+            let eager: Vec<f64> = (0..n)
+                .map(|i| {
+                    let mut score = cos[i];
+                    if !ok[i] {
+                        score -= 10.0;
+                    }
+                    score + feat[i]
+                })
+                .collect();
+            let (lazy_winner, lazy_checks) = lazy_reference(&feat, &cos, &ok);
+            assert_eq!(lazy_winner, argmax(&eager), "round {round}");
+
+            let mut realized = vec![false; n];
+            let mut checks = Vec::new();
+            let winner = select(
+                &feat,
+                |i| {
+                    assert!(!realized[i], "round {round}: {i} realized twice");
+                    realized[i] = true;
+                    cos[i]
+                },
+                |i| {
+                    checks.push(i);
+                    ok[i]
+                },
+            );
+            let ctx = format!("round {round}: feat {feat:?} cos {cos:?} ok {ok:?}");
+            assert_eq!(winner, argmax(&eager), "{ctx}");
+            assert_eq!(checks, lazy_checks, "{ctx}");
+            // Realized: the winner, and every candidate whose bound beats
+            // the winning score under the frontier's order.
+            let beats = |i: usize| match (0.5 + feat[i]).partial_cmp(&eager[winner]) {
+                Some(Ordering::Greater) => true,
+                Some(Ordering::Equal) => i > winner,
+                _ => false,
+            };
+            for (i, r) in realized.iter().enumerate() {
+                assert_eq!(*r, i == winner || beats(i), "{ctx}: candidate {i}");
+            }
+        }
     }
 
     /// Crates whose Int weights sit next to `i64::MAX`, so any SUM over

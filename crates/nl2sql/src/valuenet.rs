@@ -475,6 +475,11 @@ impl ValueNetSim {
     /// by the agreeing majority, the distant-supervision behaviour the
     /// paper relies on (§4.2). Returns the memorized SQL re-grounded in
     /// this question's evidence, when it fires and executes.
+    ///
+    /// Tie-break: when two skeletons gather equal vote weight, the one
+    /// that appears first in the similarity-sorted neighbour list wins
+    /// (the one with the single most similar memory), so the choice never
+    /// depends on a hash map's iteration order.
     fn recall(&self, question: &str, link: &LinkResult, db: &Database) -> Option<String> {
         let db_name = db.schema.name.to_ascii_lowercase();
         let normalized: String = question
@@ -495,14 +500,16 @@ impl ValueNetSim {
             return None;
         }
         // Vote by template skeleton, weighting by similarity.
-        let mut votes: std::collections::HashMap<&str, f32> = std::collections::HashMap::new();
+        let mut votes: Vec<(&str, f32)> = Vec::new();
         for (sim, m) in &near {
-            *votes.entry(m.skeleton.as_str()).or_insert(0.0) += sim;
+            match votes.iter_mut().find(|(k, _)| *k == m.skeleton) {
+                Some((_, w)) => *w += sim,
+                None => votes.push((m.skeleton.as_str(), *sim)),
+            }
         }
-        let skeleton = votes
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(k, _)| k.to_string())?;
+        let (skeleton, weight) = votes
+            .into_iter()
+            .reduce(|best, v| if v.1 > best.1 { v } else { best })?;
         let (sim, m) = near
             .iter()
             .find(|(_, m)| m.skeleton == skeleton)
@@ -517,7 +524,7 @@ impl ValueNetSim {
             })
             .unwrap_or(false);
         // Strong consensus or near-exact single match.
-        let consensus = votes[skeleton.as_str()] / near.iter().map(|(s, _)| s).sum::<f32>();
+        let consensus = weight / near.iter().map(|(s, _)| s).sum::<f32>();
         if !(arity_ok && (sim > 0.96 || (sim > 0.92 && consensus > 0.55))) {
             return None;
         }

@@ -45,6 +45,13 @@ grep -q '"correct": true' <<< "$table5_verdict" || {
     exit 1
 }
 
+stage "quick table5 golden at 1 and 3 threads"
+# The --quick Table 5 output must be byte-identical at any thread count;
+# the workspace tests above check it only at the ambient one.
+for threads in 1 3; do
+    RAYON_NUM_THREADS=$threads cargo test --release -q -p sb-bench --test golden_snapshots table5
+done
+
 stage "plan snapshots: regenerate and diff committed goldens"
 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots
 git diff --exit-code -- tests/goldens/plans || {
